@@ -1,9 +1,10 @@
 // Command etbench runs the repo's performance harness outside `go test`
 // and emits a schema'd BENCH_<rev>.json artifact, so every revision
 // leaves a comparable perf trajectory point: simulator speed
-// (ns/instruction), campaign throughput (trials/sec), recovery
-// throughput (recovered trials/sec on a hardened detection point) and a
-// fixed campaign's wall-clock. CI runs it in -short mode on every push and
+// (ns/instruction), campaign throughput (trials/sec), the share of
+// trials that converged early, recovery throughput (recovered
+// trials/sec on a hardened detection point) and a fixed campaign's
+// wall-clock. CI runs it in -short mode on every push and
 // uploads the artifact; docs/OBSERVABILITY.md documents the schema.
 //
 // Usage:
@@ -243,6 +244,23 @@ func measure(short bool) ([]Metric, error) {
 		Name:  "campaign_trials_per_second",
 		Value: campRes.Extra["trials/s"],
 		Unit:  "trials/second",
+	})
+
+	// Convergence reach: the share of simulated single-error trials that
+	// fell back into the golden run's state at a checkpoint and took the
+	// recorded golden tail instead of simulating it (docs/PERF.md). A drop
+	// means the early exit stopped firing and trials pay for their tails
+	// again.
+	converged := 0
+	for seed := int64(1); seed <= int64(maxTrials); seed++ {
+		if eng.Run(1, seed).ConvergedAt != 0 {
+			converged++
+		}
+	}
+	metrics = append(metrics, Metric{
+		Name:  "converged_fraction",
+		Value: float64(converged) / float64(maxTrials),
+		Unit:  "fraction",
 	})
 
 	// Fixed-campaign wall-clock: one deterministic sweep, timed once —

@@ -617,6 +617,9 @@ func (e *Engine) runShard(ctx context.Context, seed int64, errors int, lo, hi ui
 			if tr.DetectKind != "" {
 				attrs = append(attrs, obstrace.String("transform", tr.DetectKind))
 			}
+			if res.ConvergedAt != 0 {
+				attrs = append(attrs, obstrace.Int("converged_at", int64(res.ConvergedAt)))
+			}
 			span.Event("trial", attrs...)
 		}
 		trials = append(trials, tr)

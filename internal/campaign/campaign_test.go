@@ -15,6 +15,8 @@ import (
 	"etap/internal/core"
 	"etap/internal/harden"
 	"etap/internal/minic"
+	"etap/internal/obs"
+	obstrace "etap/internal/obs/trace"
 	"etap/internal/sim"
 )
 
@@ -416,5 +418,48 @@ func TestDetectionLatencyPercentiles(t *testing.T) {
 	r2 := e.RunPoint(ctx, pt, nil)
 	if !pointsEqual(r, r2) {
 		t.Fatalf("latency percentiles differ across worker counts:\n%+v\n%+v", r, r2)
+	}
+}
+
+// TestTrialEventsCarryConvergedAt: simulated trials that reconverged with
+// the golden run say where on their campaign.shard trial events, with a
+// checkpoint Instret inside the run.
+func TestTrialEventsCarryConvergedAt(t *testing.T) {
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Workers: 1, DisablePrune: true})
+	tracer := obstrace.New(obstrace.Config{Registry: obs.NewRegistry()})
+	defer tracer.Close()
+	tctx, root := tracer.Start(ctx, "converged-at")
+	e.RunPoint(tctx, campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 32, Seed: 3}, nil)
+	root.End()
+	td := tracer.Get(root.TraceID())
+	if td == nil {
+		t.Fatal("trace not recorded")
+	}
+	converged := 0
+	for _, sp := range td.Spans {
+		if sp.Name != "campaign.shard" {
+			continue
+		}
+		for _, ev := range sp.Events {
+			var at, instret int64 = -1, -1
+			for _, a := range ev.Attrs {
+				switch a.Key {
+				case "converged_at":
+					at = a.Value.(int64)
+				case "instret":
+					instret = a.Value.(int64)
+				}
+			}
+			if at == -1 {
+				continue
+			}
+			converged++
+			if at <= 0 || at >= instret {
+				t.Fatalf("converged_at %d outside the run's %d instructions", at, instret)
+			}
+		}
+	}
+	if converged == 0 {
+		t.Fatal("no trial event carries converged_at")
 	}
 }

@@ -2,15 +2,14 @@
 // runEngine retires dinstr slots instead of raw isa.Instr, so the per-step
 // cost drops to one bounds check, one budget check, and one switch on a
 // dense byte — class resolution, destination extraction and eligibility
-// all happened at compile time. The loop carries no tracing, recorder, or
+// all happened at compile time. The loop carries no SiteVisit hook, recorder, or
 // plan triple-check; instrumented runs use the reference interpreter
 // (machine.run) instead, and the two are pinned bit-identical by
 // engine_test.go, engine_diff_test.go and FuzzEngineEquivalence.
 //
 // Invariants a machine entering runEngine must satisfy: m.rec == nil and
-// cfg.Trace == nil and cfg.SiteVisit == nil (instrumented paths are
-// reference-only), and a flat
-// (non-paged) machine has a dirty bitmap (it came from newScratch).
+// cfg.SiteVisit == nil (instrumented paths are reference-only), and a
+// flat (non-paged) machine has a dirty bitmap (it came from newScratch).
 package sim
 
 import (

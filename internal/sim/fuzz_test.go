@@ -2,7 +2,9 @@ package sim
 
 // FuzzEngineEquivalence feeds random short instruction sequences and random
 // injection plans to the predecoded engine and the reference interpreter
-// and requires bit-identical Results. The decoder below maps arbitrary
+// and requires bit-identical Results; each injection plan also runs
+// restored from a recorded golden pass (Record+RunFrom), which must match
+// the from-scratch engine. The decoder below maps arbitrary
 // bytes onto the full opcode space — traps, wild jumps, runaway loops and
 // bad syscalls are all fair game, because the two engines must agree on
 // those too, down to the trap detail and the instruction count at which
@@ -109,11 +111,28 @@ func FuzzEngineEquivalence(f *testing.F) {
 		for i := range mask {
 			mask[i] = maskSeed>>(uint(i)%64)&1 == 1
 		}
-		cfg.Plan = &FaultPlan{
+		plan := &FaultPlan{
 			Eligible:   mask,
 			Injections: []Injection{{At: uint64(at)%512 + 1, Bit: bit & 31}},
 		}
+		cfg.Plan = plan
 		run(cfg)
+
+		// The same plan restored from a recording, through the segmented
+		// run and convergence check, must match the from-scratch engine in
+		// everything but ConvergedAt.
+		golden := cfg
+		golden.Plan = &FaultPlan{Eligible: mask}
+		rec, err := Record(p, golden, RecordOptions{Interval: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rec.RunFrom(rec.SnapshotBefore(plan.Injections[0].At), plan, cfg.MaxInstr)
+		got.ConvergedAt = 0
+		if want := Run(p, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored run diverges from scratch:\nrestored: %+v\nscratch:  %+v\nprogram:\n%s",
+				got, want, disasmAll(p))
+		}
 	})
 }
 

@@ -20,6 +20,10 @@ var (
 
 	simInstructions = obs.Default().Counter("etap_sim_instructions_total",
 		"Instructions retired across all simulated executions.")
+	simTrialsConverged = obs.Default().Counter("etap_sim_trials_converged_total",
+		"Restored executions that reconverged with the golden pass at a checkpoint and took the recorded golden tail instead of simulating it.")
+	simInstrSkipped = obs.Default().Counter("etap_sim_instructions_skipped_total",
+		"Golden-tail instructions converged executions took from the recording instead of executing; not part of etap_sim_instructions_total.")
 	simRunSeconds = obs.Default().Counter("etap_sim_run_seconds_total",
 		"Wall-clock seconds spent executing simulated instructions.")
 	simCheckpoints = obs.Default().Counter("etap_sim_checkpoints_total",

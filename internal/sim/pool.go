@@ -117,6 +117,7 @@ type Runner struct {
 	m        machine
 	pages    map[uint32]*[pageSize]byte
 	roSparse map[uint32]*[pageSize]byte
+	written  []uint32
 }
 
 // NewRunner returns a Runner bound to the recording. Call Close when the
@@ -191,6 +192,7 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		eligCount:   s.EligCount,
 		inPos:       s.inPos,
 		out:         s.out,
+		written:     rn.written[:0],
 	}
 	copy(m.regs[:], s.regs[:])
 	for pn, pg := range s.pages {
@@ -205,11 +207,20 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		m.injections = plan.Injections
 	}
 	start := time.Now()
-	m.runEngine(code)
+	j := -1
+	if plan != nil {
+		j = rn.runConverging(idx, code)
+	} else {
+		m.runEngine(code)
+	}
+	rn.written = m.written
 	// The machine resumed at s.Instret; only the instructions actually
 	// re-executed count toward the process totals.
 	recordRunMetrics(simRunsRestore, m.instret-s.Instret, time.Since(start))
-	return m.result()
+	if j < 0 {
+		return m.result()
+	}
+	return rn.goldenTail(j)
 }
 
 // codeForPlan picks the predecoded stream for a trial against a recording:

@@ -28,7 +28,6 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"time"
@@ -164,12 +163,9 @@ type Config struct {
 	Input []byte
 	// Plan optionally enables fault accounting and injection.
 	Plan *FaultPlan
-	// Trace, when non-nil, receives a disassembly line per executed
-	// instruction. Debugging only; it is very slow.
-	Trace io.Writer
 	// SiteVisit, when non-nil, receives the text index of every retired
 	// eligible instruction in dynamic (eligible-stream) order: the n-th
-	// call corresponds to eligible-stream ordinal n. Like Trace it is an
+	// call corresponds to eligible-stream ordinal n. It is an
 	// instrumented path and forces the reference interpreter; the
 	// campaign engine sets it on the golden pass only, to map stream
 	// ordinals back to static fault sites.
@@ -214,6 +210,12 @@ type Result struct {
 	// and does not include instructions that earlier, abandoned attempts
 	// executed.
 	RecoverInstret uint64
+	// ConvergedAt is the Instret of the checkpoint at which a restored run
+	// was found back in the golden pass's exact state, after which the
+	// rest of the Result was taken from the recorded golden tail instead
+	// of being simulated; 0 when the run did not converge. It is the only
+	// field that differs from a from-scratch run of the same plan.
+	ConvergedAt uint64
 }
 
 // DetectLatency is the distance, in retired instructions, between the
@@ -254,12 +256,12 @@ func (c Config) normalize() Config {
 // Execution happens on the predecoded engine (predecode.go, engine.go):
 // the text segment is compiled once per (program, eligibility mask) pair
 // into a dense superinstruction stream and the hot loop dispatches over
-// that. Tracing runs fall back to the reference interpreter. The two paths
+// that. SiteVisit runs fall back to the reference interpreter. The two paths
 // produce bit-identical Results — TestEngineMatchesReference and
 // FuzzEngineEquivalence enforce it.
 func Run(p *isa.Program, cfg Config) Result {
 	cfg = cfg.normalize()
-	if cfg.Trace != nil || cfg.SiteVisit != nil {
+	if cfg.SiteVisit != nil {
 		return referenceRun(p, cfg)
 	}
 	code := codeFor(p, cfg.Plan)
@@ -277,7 +279,7 @@ func Run(p *isa.Program, cfg Config) Result {
 // predecoded engine. It stays in-tree as the semantic baseline — the
 // differential harness asserts bit-identical Results between both engines
 // for every app, hardened variant and injection plan — and it carries the
-// instrumented paths (tracing, checkpoint recording) the fast loop does
+// instrumented paths (SiteVisit, checkpoint recording) the fast loop does
 // not implement.
 func ReferenceRun(p *isa.Program, cfg Config) Result {
 	return referenceRun(p, cfg.normalize())
@@ -386,6 +388,9 @@ type machine struct {
 	pageTab  []*[pageSize]byte
 	wrTab    []*[pageSize]byte
 	roSparse map[uint32]*[pageSize]byte
+	// written lists, in first-write order, the fast-region pages that have
+	// a private copy in wrTab, so a convergence check visits only those.
+	written []uint32
 
 	// rec, when non-nil, records snapshots of machine state every
 	// rec.interval instructions (see snapshot.go).
@@ -524,6 +529,7 @@ func (m *machine) storeSlot(addr uint32) []byte {
 			}
 			m.pageTab[pn] = pg
 			m.wrTab[pn] = pg
+			m.written = append(m.written, pn)
 		}
 		return pg[addr&(pageSize-1):]
 	}
@@ -637,9 +643,6 @@ func (m *machine) run() {
 		in := m.text[m.pc]
 		m.instret++
 		m.classCounts[in.Class()]++
-		if m.cfg.Trace != nil {
-			fmt.Fprintf(m.cfg.Trace, "%8d pc=%-6d %s\n", m.instret, m.pc, isa.Disasm(in))
-		}
 		next := m.pc + 1
 		r := &m.regs
 

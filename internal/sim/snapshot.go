@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"time"
 
 	"etap/internal/isa"
@@ -42,8 +43,16 @@ type Snapshot struct {
 	classCounts [6]uint64
 	inPos       int
 	outLen      int
-	out         []byte // golden output prefix; len == cap so appends copy
+	out         []byte // golden output prefix; len == cap so appends copy; nil when empty
 	pages       map[uint32]*[pageSize]byte
+
+	// Convergence lists, precomputed by Record so a convergence check
+	// never ranges over pages: dirty holds the fast-region pages the
+	// golden pass wrote since the previous checkpoint (their page pointer
+	// differs from the previous checkpoint's), sparse every page key
+	// beyond the fast region. Both are sorted.
+	dirty  []uint32
+	sparse []uint32
 }
 
 // RecordOptions parameterises checkpoint capture.
@@ -77,7 +86,7 @@ type Recording struct {
 	Result Result
 
 	prog   *isa.Program
-	cfg    Config // defaults applied; Plan/Trace/SiteVisit stripped
+	cfg    Config // defaults applied; Plan/SiteVisit stripped
 	snaps  []*Snapshot
 	base   []*[pageSize]byte // initial fast-region image (data segment)
 	elig   []bool            // eligibility mask the golden pass counted with
@@ -196,7 +205,6 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 	if cfg.Plan != nil && len(cfg.Plan.Injections) > 0 {
 		return nil, fmt.Errorf("sim: cannot record a golden pass with injections scheduled")
 	}
-	cfg.Trace = nil
 
 	fastPages := cfg.MemSize >> pageShift
 	rec := &recorder{
@@ -223,8 +231,21 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 
 	res := m.result()
 	buf.release()
-	for _, s := range rec.snaps {
-		s.out = res.Output[:s.outLen:s.outLen]
+	for k, s := range rec.snaps {
+		// An empty prefix stays nil, as a from-scratch run's output does
+		// until its first write.
+		if s.outLen > 0 {
+			s.out = res.Output[:s.outLen:s.outLen]
+		}
+		for pn, pg := range s.pages {
+			if pn >= fastPages {
+				s.sparse = append(s.sparse, pn)
+			} else if k > 0 && rec.snaps[k-1].pages[pn] != pg {
+				s.dirty = append(s.dirty, pn)
+			}
+		}
+		slices.Sort(s.dirty)
+		slices.Sort(s.sparse)
 	}
 
 	// Build the pristine fast-region image once: the data segment split
