@@ -146,17 +146,27 @@ func TestConvergenceDifferential(t *testing.T) {
 						if want.Outcome == sim.Detected {
 							detected.Add(1)
 						}
+						// The same trial from the root, the machine before
+						// its first instruction.
+						got = rn.RunFrom(-1, plan, budget)
+						got.ConvergedAt = 0
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("errors=%d trial %d: RunFrom(-1) differs from scratch\nrestored: %+v\nscratch:  %+v\nplan: %+v",
+								errs, i, got, want, plan.Injections)
+						}
 
 						const maxAttempts = 3
-						gotR := rn.RunRecover(idx, plan, budget, sim.RecoveryPolicy{MaxAttempts: maxAttempts})
-						wantR := oracleRecover(s, rec, idx, plan, budget, maxAttempts)
-						gotR.ConvergedAt = 0
-						if !reflect.DeepEqual(gotR, wantR) {
-							t.Fatalf("errors=%d trial %d: RunRecover(%d) differs from the scratch replay oracle\nrestored: %+v\noracle:   %+v\nplan: %+v",
-								errs, i, idx, gotR, wantR, plan.Injections)
-						}
-						if wantR.Outcome == sim.Recovered {
-							recovered.Add(1)
+						for _, from := range []int{idx, -1} {
+							gotR := rn.RunRecover(from, plan, budget, sim.RecoveryPolicy{MaxAttempts: maxAttempts})
+							wantR := oracleRecover(s, rec, from, plan, budget, maxAttempts)
+							gotR.ConvergedAt = 0
+							if !reflect.DeepEqual(gotR, wantR) {
+								t.Fatalf("errors=%d trial %d: RunRecover(%d) differs from the scratch replay oracle\nrestored: %+v\noracle:   %+v\nplan: %+v",
+									errs, i, from, gotR, wantR, plan.Injections)
+							}
+							if from == idx && wantR.Outcome == sim.Recovered {
+								recovered.Add(1)
+							}
 						}
 					}
 				}

@@ -5,7 +5,10 @@
 // recording already knows. A restored trial therefore runs in segments that
 // end at each later checkpoint's Instret; once every injection has fired,
 // the machine is compared with the checkpoint at each segment end, and on
-// a match the Result is synthesized from the recorded golden Result.
+// a match the Result is synthesized from the recorded golden Result. A
+// trial whose first injection comes before the first checkpoint restores
+// the root, the machine before its first instruction, so it converges
+// like any other instead of running to its end.
 //
 // The segmentation only moves the engine's budget: runEngine stops
 // cleanly on a budget anywhere, including between the two halves of a
@@ -37,11 +40,11 @@ func samePage(a, b *[pageSize]byte) bool {
 	return *a == *b
 }
 
-// runConverging runs the Runner's machine, restored from checkpoint idx,
-// to the end of the trial. It stops at every later checkpoint's Instret
-// and returns the index of the first checkpoint whose golden state the
-// machine matches with no injection pending, or -1 when the trial ran to
-// its own end.
+// runConverging runs the Runner's machine, restored from checkpoint idx
+// (-1: the root), to the end of the trial. It stops at every later
+// checkpoint's Instret and returns the index of the first checkpoint whose
+// golden state the machine matches with no injection pending, or -1 when
+// the trial ran to its own end.
 //
 // Convergence is only tried when the golden run ended on its own within
 // the trial's budget: otherwise the trial's tail would time out where the
@@ -80,7 +83,10 @@ func (rn *Runner) runConverging(idx int, code []dinstr) int {
 func (rn *Runner) converged(i, j int) bool {
 	m := &rn.m
 	r := rn.rec
-	si, sj := r.snaps[i], r.snaps[j]
+	si, sj := r.root, r.snaps[j]
+	if i >= 0 {
+		si = r.snaps[i]
+	}
 	if m.pc != sj.PC || m.inPos != sj.inPos ||
 		[isa.NumRegs]uint32(m.regs[:isa.NumRegs]) != sj.regs {
 		return false

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"etap/internal/asm"
@@ -666,5 +667,48 @@ func TestConvergeComparesWrittenPages(t *testing.T) {
 	}
 	if bytes.Equal(res.Output, rec.Result.Output) {
 		t.Fatal("fixture: the wrong array word did not reach the output")
+	}
+}
+
+// TestConvergeFromRoot: a flip before the first checkpoint restores the
+// root, the machine before its first instruction, so the trial still
+// converges. Under a mask other than the recorded one it runs flat from
+// scratch and never does.
+func TestConvergeFromRoot(t *testing.T) {
+	f := assembleConv(t)
+	rec := recordConv(t, f.p, f.mask, sim.Config{}, 64)
+	plan := &sim.FaultPlan{Eligible: f.mask, Injections: []sim.Injection{{At: 1, Bit: 6}}}
+	if rec.SnapshotBefore(1) != -1 {
+		t.Fatal("fixture: a checkpoint precedes the first eligible instruction")
+	}
+	at := matchScratch(t, "root", rec.RunFrom(-1, plan, 0), scratchOracle(f.p, sim.Config{}, plan, 0))
+	if want := rec.Snapshots()[0].Instret; at != want {
+		t.Fatalf("converged at %d, want the first checkpoint %d", at, want)
+	}
+
+	other := slices.Clone(f.mask)
+	other[f.sum] = false
+	plan = &sim.FaultPlan{Eligible: other, Injections: []sim.Injection{{At: 1, Bit: 6}}}
+	if at := matchScratch(t, "other mask", rec.RunFrom(-1, plan, 0), scratchOracle(f.p, sim.Config{}, plan, 0)); at != 0 {
+		t.Fatalf("a trial under another mask converged at %d", at)
+	}
+}
+
+// TestRecoverReplayFromRoot: a flip detected before the first checkpoint
+// replays from the root, and the replay converges at the first checkpoint
+// instead of running the whole program again.
+func TestRecoverReplayFromRoot(t *testing.T) {
+	rec, base := recordDetect(t)
+	plan := &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 2, Bit: 5}}}
+	detected := rec.RunFrom(-1, plan, 0)
+	if detected.Outcome != sim.Detected || rec.SnapshotBefore(detected.EligibleExec+1) != -1 {
+		t.Fatalf("fixture: outcome %s at eligible %d, want a detection before the first checkpoint", detected.Outcome, detected.EligibleExec)
+	}
+	res := rec.RunRecover(-1, plan, 0, sim.RecoveryPolicy{MaxAttempts: 3})
+	if res.Outcome != sim.Recovered || res.ConvergedAt != rec.Snapshots()[0].Instret {
+		t.Fatalf("outcome %s converged at %d, want recovered at the first checkpoint %d", res.Outcome, res.ConvergedAt, rec.Snapshots()[0].Instret)
+	}
+	if res.Instret != rec.Result.Instret || res.RecoverInstret != rec.Result.Instret {
+		t.Fatalf("instret %d, replay work %d: want the logical %d for both", res.Instret, res.RecoverInstret, rec.Result.Instret)
 	}
 }

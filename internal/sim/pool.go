@@ -147,14 +147,16 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 	if maxInstr != 0 {
 		cfg.MaxInstr = maxInstr
 	}
-	if idx >= 0 && plan != nil && !sameMask(plan.Eligible, r.elig) &&
-		maskFingerprint(plan.Eligible) != r.maskFP {
+	recorded := plan != nil && (sameMask(plan.Eligible, r.elig) || maskFingerprint(plan.Eligible) == r.maskFP)
+	if idx >= 0 && plan != nil && !recorded {
 		// Fail fast: resuming mid-stream under a different mask would
 		// mis-place every injection and silently corrupt the trial.
 		panic(fmt.Sprintf("sim: RunFrom(%d): trial plan's eligibility mask (fingerprint %#x) differs from the recorded one (%#x); checkpoint eligible-stream positions are meaningless under any other mask", idx, maskFingerprint(plan.Eligible), r.maskFP))
 	}
 	code := codeForPlan(r, plan)
-	if idx < 0 {
+	if idx < 0 && !recorded {
+		// A golden replay cannot converge, and under any other mask no
+		// checkpoint means anything to the trial: run flat from scratch.
 		m, buf := newScratch(r.prog, cfg)
 		start := time.Now()
 		m.runEngine(code)
@@ -164,7 +166,12 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		return res
 	}
 
-	s := r.snaps[idx]
+	// A trial from scratch under the recorded mask restores the root, the
+	// machine before its first instruction, so that it can converge too.
+	s, kind := r.root, simRunsScratch
+	if idx >= 0 {
+		s, kind = r.snaps[idx], simRunsRestore
+	}
 	fastPages := int(cfg.MemSize >> pageShift)
 	if rn.rb == nil {
 		rn.rb = acquireRestore(fastPages)
@@ -216,7 +223,7 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 	rn.written = m.written
 	// The machine resumed at s.Instret; only the instructions actually
 	// re-executed count toward the process totals.
-	recordRunMetrics(simRunsRestore, m.instret-s.Instret, time.Since(start))
+	recordRunMetrics(kind, m.instret-s.Instret, time.Since(start))
 	if j < 0 {
 		return m.result()
 	}

@@ -49,8 +49,9 @@ type Snapshot struct {
 	// Convergence lists, precomputed by Record so a convergence check
 	// never ranges over pages: dirty holds the fast-region pages the
 	// golden pass wrote since the previous checkpoint (their page pointer
-	// differs from the previous checkpoint's), sparse every page key
-	// beyond the fast region. Both are sorted.
+	// differs from the previous checkpoint's; for the first checkpoint,
+	// every page it holds), sparse every page key beyond the fast region.
+	// Both are sorted.
 	dirty  []uint32
 	sparse []uint32
 }
@@ -88,6 +89,7 @@ type Recording struct {
 	prog   *isa.Program
 	cfg    Config // defaults applied; Plan/SiteVisit stripped
 	snaps  []*Snapshot
+	root   *Snapshot         // the machine before its first instruction; not in snaps
 	base   []*[pageSize]byte // initial fast-region image (data segment)
 	elig   []bool            // eligibility mask the golden pass counted with
 	maskFP uint64            // fingerprint of elig; restores reject other masks
@@ -240,7 +242,7 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 		for pn, pg := range s.pages {
 			if pn >= fastPages {
 				s.sparse = append(s.sparse, pn)
-			} else if k > 0 && rec.snaps[k-1].pages[pn] != pg {
+			} else if k == 0 || rec.snaps[k-1].pages[pn] != pg {
 				s.dirty = append(s.dirty, pn)
 			}
 		}
@@ -270,6 +272,9 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 		}
 	}
 
+	root := &Snapshot{PC: p.Entry}
+	root.regs[isa.RegSP] = cfg.MemSize - 16 // as newScratch starts a machine
+
 	strip := cfg
 	strip.Plan = nil
 	strip.SiteVisit = nil
@@ -278,6 +283,7 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 		prog:   p,
 		cfg:    strip,
 		snaps:  rec.snaps,
+		root:   root,
 		base:   base,
 		elig:   elig,
 		maskFP: maskFingerprint(elig),
@@ -306,12 +312,13 @@ func (r *Recording) SnapshotBefore(at uint64) int {
 }
 
 // RunFrom resumes execution from checkpoint idx under a trial plan and
-// instruction budget; idx -1 runs from scratch. The plan's eligibility
-// mask must be the one the golden pass was recorded with — checkpoint
-// eligible-stream positions are meaningless under any other mask — and a
-// restore under a plan whose mask content differs panics rather than
-// silently producing garbage (the masks are compared by fingerprint, so
-// an equal copy of the recorded mask is fine).
+// instruction budget; idx -1 runs from scratch (from the root, so that it
+// can converge, when the plan carries the recorded mask; flat otherwise).
+// For idx >= 0 the plan's eligibility mask must be the one the golden pass
+// was recorded with — checkpoint eligible-stream positions are meaningless
+// under any other mask — and a restore under a plan whose mask content
+// differs panics rather than silently producing garbage (the masks are
+// compared by fingerprint, so an equal copy of the recorded mask is fine).
 //
 // Each call builds and discards the per-trial machine state; callers
 // running many trials against one recording should hold a Runner
