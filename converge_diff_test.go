@@ -5,8 +5,11 @@ package etap
 // recorded golden tail (internal/sim/converge.go). Over every benchmark,
 // original and hardened, and at several error counts, that Result — and
 // the Result of the recovery loop built on it — must equal a from-scratch
-// oracle in every field but ConvergedAt. A from-scratch sim.Run never
-// restores, so it never converges.
+// oracle in every field but ConvergedAt and Elided. A from-scratch sim.Run
+// never restores, so it never converges, and it applies every flip; the
+// recordings here carry analysis.Classify's benign mask, so the restored
+// trials elide the flips that strike benign sites on the golden path, and
+// the differential pins that elision too.
 
 import (
 	"math/rand"
@@ -14,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"etap/internal/analysis"
 	"etap/internal/apps/all"
 	"etap/internal/fault"
 	"etap/internal/isa"
@@ -100,18 +104,43 @@ func convergeSubjects(t *testing.T) []convergeSubject {
 	return subs
 }
 
+// benignOrdinal returns an ordinal of s.mask's eligible stream, near its
+// middle, whose site analysis.Classify marks benign, or 0 when the clean
+// run executes no such site. A flip there is elided on the golden path,
+// which random plans rarely hit: benign sites are under 3% of the tagged
+// stream.
+func benignOrdinal(s convergeSubject, benign []bool) uint64 {
+	only := make([]bool, len(s.mask))
+	for i := range only {
+		only[i] = s.mask[i] && benign[i]
+	}
+	n := sim.Run(s.prog, sim.Config{Input: s.input, Plan: &sim.FaultPlan{Eligible: only}}).EligibleExec
+	if n == 0 {
+		return 0
+	}
+	// The retirement count at which the middle benign execution fires,
+	// then the tagged stream's position at that same instruction.
+	at := sim.Run(s.prog, sim.Config{Input: s.input, Plan: &sim.FaultPlan{Eligible: only,
+		Injections: []sim.Injection{{At: (n + 1) / 2}}}}).FirstInjectInstret
+	return sim.Run(s.prog, sim.Config{Input: s.input, Plan: &sim.FaultPlan{Eligible: s.mask}, MaxInstr: at}).EligibleExec
+}
+
 func TestConvergenceDifferential(t *testing.T) {
 	trials := 4
 	if testing.Short() {
 		trials = 2
 	}
-	var converged, detected, recovered atomic.Int64
+	var converged, elided, detected, recovered atomic.Int64
 	t.Run("subjects", func(t *testing.T) {
 		for _, s := range convergeSubjects(t) {
 			s := s
 			t.Run(s.name, func(t *testing.T) {
 				t.Parallel()
-				rec, err := sim.Record(s.prog, sim.Config{Input: s.input, Plan: &sim.FaultPlan{Eligible: s.mask}}, sim.RecordOptions{})
+				cls, err := analysis.Classify(s.prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := sim.Record(s.prog, sim.Config{Input: s.input, Plan: &sim.FaultPlan{Eligible: s.mask}}, sim.RecordOptions{Benign: cls.Benign})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,6 +151,52 @@ func TestConvergenceDifferential(t *testing.T) {
 				budget := clean.Instret * 2
 				rn := rec.NewRunner()
 				defer rn.Close()
+				check := func(errs, i int, plan *sim.FaultPlan) {
+					t.Helper()
+					idx := len(rec.Snapshots()) - 1
+					if len(plan.Injections) > 0 {
+						idx = rec.SnapshotBefore(plan.Injections[0].At)
+					}
+					want := sim.Run(s.prog, sim.Config{Input: s.input, Plan: plan, MaxInstr: budget})
+					got := rn.RunFrom(idx, plan, budget)
+					if got.ConvergedAt != 0 {
+						converged.Add(1)
+					}
+					if got.Elided != 0 {
+						elided.Add(1)
+					}
+					got.ConvergedAt, got.Elided = 0, 0
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("errors=%d trial %d: RunFrom(%d) differs from scratch\nrestored: %+v\nscratch:  %+v\nplan: %+v",
+							errs, i, idx, got, want, plan.Injections)
+					}
+					if want.Outcome == sim.Detected {
+						detected.Add(1)
+					}
+					// The same trial from the root, the machine before
+					// its first instruction.
+					got = rn.RunFrom(-1, plan, budget)
+					got.ConvergedAt, got.Elided = 0, 0
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("errors=%d trial %d: RunFrom(-1) differs from scratch\nrestored: %+v\nscratch:  %+v\nplan: %+v",
+							errs, i, got, want, plan.Injections)
+					}
+
+					const maxAttempts = 3
+					for _, from := range []int{idx, -1} {
+						gotR := rn.RunRecover(from, plan, budget, sim.RecoveryPolicy{MaxAttempts: maxAttempts})
+						wantR := oracleRecover(s, rec, from, plan, budget, maxAttempts)
+						gotR.ConvergedAt, gotR.Elided = 0, 0
+						if !reflect.DeepEqual(gotR, wantR) {
+							t.Fatalf("errors=%d trial %d: RunRecover(%d) differs from the scratch replay oracle\nrestored: %+v\noracle:   %+v\nplan: %+v",
+								errs, i, from, gotR, wantR, plan.Injections)
+						}
+						if from == idx && wantR.Outcome == sim.Recovered {
+							recovered.Add(1)
+						}
+					}
+				}
+				benignAt := benignOrdinal(s, cls.Benign)
 				rng := rand.New(rand.NewSource(int64(len(s.name))))
 				for _, errs := range []int{0, 1, 2, 3, 4, 16} {
 					for i := 0; i < trials; i++ {
@@ -129,53 +204,29 @@ func TestConvergenceDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						idx := len(rec.Snapshots()) - 1
-						if len(plan.Injections) > 0 {
-							idx = rec.SnapshotBefore(plan.Injections[0].At)
+						check(errs, i, plan)
+						if benignAt == 0 || errs == 0 {
+							continue
 						}
-						want := sim.Run(s.prog, sim.Config{Input: s.input, Plan: plan, MaxInstr: budget})
-						got := rn.RunFrom(idx, plan, budget)
-						if got.ConvergedAt != 0 {
-							converged.Add(1)
-						}
-						got.ConvergedAt = 0
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("errors=%d trial %d: RunFrom(%d) differs from scratch\nrestored: %+v\nscratch:  %+v\nplan: %+v",
-								errs, i, idx, got, want, plan.Injections)
-						}
-						if want.Outcome == sim.Detected {
-							detected.Add(1)
-						}
-						// The same trial from the root, the machine before
-						// its first instruction.
-						got = rn.RunFrom(-1, plan, budget)
-						got.ConvergedAt = 0
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("errors=%d trial %d: RunFrom(-1) differs from scratch\nrestored: %+v\nscratch:  %+v\nplan: %+v",
-								errs, i, got, want, plan.Injections)
-						}
-
-						const maxAttempts = 3
-						for _, from := range []int{idx, -1} {
-							gotR := rn.RunRecover(from, plan, budget, sim.RecoveryPolicy{MaxAttempts: maxAttempts})
-							wantR := oracleRecover(s, rec, from, plan, budget, maxAttempts)
-							gotR.ConvergedAt = 0
-							if !reflect.DeepEqual(gotR, wantR) {
-								t.Fatalf("errors=%d trial %d: RunRecover(%d) differs from the scratch replay oracle\nrestored: %+v\noracle:   %+v\nplan: %+v",
-									errs, i, from, gotR, wantR, plan.Injections)
-							}
-							if from == idx && wantR.Outcome == sim.Recovered {
-								recovered.Add(1)
+						// The same plan led by a flip on a benign site: it
+						// is elided, and the trial either converges (no
+						// later flip) or runs again applying every flip.
+						led := &sim.FaultPlan{Eligible: s.mask, Injections: []sim.Injection{{At: benignAt, Bit: uint8(i)}}}
+						for _, inj := range plan.Injections {
+							if inj.At > benignAt {
+								led.Injections = append(led.Injections, inj)
 							}
 						}
+						check(errs, i, led)
 					}
 				}
 			})
 		}
 	})
-	t.Logf("converged %d restored trials; %d detected, %d recovered", converged.Load(), detected.Load(), recovered.Load())
-	if converged.Load() == 0 || detected.Load() == 0 || recovered.Load() == 0 {
-		t.Fatalf("the sweep did not exercise convergence and recovery: converged=%d detected=%d recovered=%d",
-			converged.Load(), detected.Load(), recovered.Load())
+	t.Logf("converged %d restored trials, %d with elided flips; %d detected, %d recovered",
+		converged.Load(), elided.Load(), detected.Load(), recovered.Load())
+	if converged.Load() == 0 || elided.Load() == 0 || detected.Load() == 0 || recovered.Load() == 0 {
+		t.Fatalf("the sweep did not exercise convergence, elision and recovery: converged=%d elided=%d detected=%d recovered=%d",
+			converged.Load(), elided.Load(), detected.Load(), recovered.Load())
 	}
 }

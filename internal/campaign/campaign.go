@@ -44,9 +44,9 @@ import (
 // ScoreFunc evaluates a completed trial's output against the golden
 // output, returning the application's fidelity value and whether it passes
 // the acceptability threshold. It must be a pure function of the byte
-// contents: the engine synthesizes statically-pruned trials by scoring
-// the golden output against itself, and purity is what keeps that
-// bit-identical to scoring the (equal) simulated output.
+// contents: a trial that converged takes the golden output from the
+// recording, and purity is what keeps its score bit-identical to scoring
+// the (equal) output a full simulation would have produced.
 type ScoreFunc func(golden, output []byte) (value float64, acceptable bool)
 
 // Config parameterises an Engine.
@@ -66,10 +66,11 @@ type Config struct {
 	ShardSize int
 	// Seed is the base seed for trial schedules. Defaults to 1.
 	Seed int64
-	// DisablePrune turns off static injection pruning, forcing every
-	// trial through the simulator. Pruning never changes results — the
-	// differential tests pin pruned and unpruned campaigns bit-identical
-	// — so this exists for those tests and for benchmarking the win.
+	// DisablePrune turns off static injection pruning: the golden pass
+	// is recorded without the benign mask, so every flip is applied.
+	// Pruning never changes results — the differential tests pin pruned
+	// and unpruned campaigns bit-identical — so this exists for those
+	// tests and for benchmarking the win.
 	DisablePrune bool
 }
 
@@ -109,22 +110,21 @@ type Engine struct {
 	// or aggregation.
 	DetectClass func(pc int) string
 
-	rec *sim.Recording
-	cfg Config
+	rec    *sim.Recording
+	cfg    Config
+	simCfg sim.Config
 
-	// Static injection pruning: benignStream is a bitmap over the clean
-	// run's eligible-stream ordinals (bit o-1 set means ordinal o strikes
-	// a statically benign site), built during the golden pass by the
-	// sim.Config.SiteVisit hook at zero extra passes. pruneOK gates use:
-	// it is false when pruning is disabled, the program's CFG defeats
-	// classification, or the observed stream length disagreed with the
-	// clean run. benignDyn counts the set bits; pruned counts skipped
-	// trials.
-	benignStream []uint64
-	benignDyn    uint64
-	pruneOK      bool
-	class        *analysis.Classification
-	pruned       atomic.Uint64
+	// Static injection pruning: the golden pass is recorded with the
+	// classification's Benign mask, so the simulator elides a flip that
+	// strikes a benign site while the trial is still on the golden path
+	// (sim.RecordOptions.Benign). class is nil when pruning is disabled
+	// or the program's CFG defeats classification; pruned counts the
+	// trials whose every flip was elided. pruneFrac caches
+	// StaticPruneFraction.
+	class     *analysis.Classification
+	pruned    atomic.Uint64
+	pruneOnce sync.Once
+	pruneFrac float64
 }
 
 // New prepares an engine. simCfg.Plan and simCfg.MaxInstr are managed by
@@ -146,33 +146,21 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 	probe := simCfg
 	probe.Plan = &sim.FaultPlan{Eligible: eligible}
 
-	// Static pruning setup: classify fault sites once, then let the
-	// golden pass (which already walks the whole eligible stream) record
-	// which ordinals strike benign sites. Classification failure — e.g. a
-	// hand-written program whose control flow the CFG builder rejects —
-	// silently disables pruning; the campaign still runs, every trial
-	// simulated.
+	// Static pruning setup: classify fault sites once and fold the
+	// benign ones into the recording's instruction stream. Classification
+	// failure — e.g. a hand-written program whose control flow the CFG
+	// builder rejects — silently disables pruning; the campaign still
+	// runs, every flip applied.
 	var cls *analysis.Classification
-	var benign []uint64
-	var benignDyn, streamLen uint64
+	opt := sim.RecordOptions{Interval: cfg.Interval, MaxSnapshots: cfg.MaxSnapshots}
 	if !cfg.DisablePrune {
 		if c, err := analysis.Classify(p); err == nil {
 			cls = c
-			probe.SiteVisit = func(pc int) {
-				if cls.Benign[pc] {
-					w := streamLen >> 6
-					for w >= uint64(len(benign)) {
-						benign = append(benign, 0)
-					}
-					benign[w] |= 1 << (streamLen & 63)
-					benignDyn++
-				}
-				streamLen++
-			}
+			opt.Benign = c.Benign
 		}
 	}
 
-	rec, err := sim.Record(p, probe, sim.RecordOptions{Interval: cfg.Interval, MaxSnapshots: cfg.MaxSnapshots})
+	rec, err := sim.Record(p, probe, opt)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -183,71 +171,44 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 	if clean.EligibleExec == 0 {
 		return nil, fmt.Errorf("campaign: no eligible instructions executed; nothing to inject into")
 	}
-	e := &Engine{
+	return &Engine{
 		Prog:     p,
 		Eligible: eligible,
 		Clean:    clean,
 		Budget:   clean.Instret*16 + 10_000_000,
 		rec:      rec,
 		cfg:      cfg,
-	}
-	// Plan ordinals index the clean eligible stream 1..EligibleExec; a
-	// bitmap built over anything else would mis-prune, so it is dropped
-	// unless the hook saw exactly that stream.
-	if cls != nil && streamLen == clean.EligibleExec {
-		e.benignStream = benign
-		e.benignDyn = benignDyn
-		e.class = cls
-		e.pruneOK = true
-	}
-	return e, nil
+		simCfg:   simCfg,
+		class:    cls,
+	}, nil
 }
 
 // PruningEnabled reports whether static injection pruning is active.
-func (e *Engine) PruningEnabled() bool { return e.pruneOK }
-
-// Classification exposes the static fault-site triage pruning runs on
-// (nil when pruning is off).
-func (e *Engine) Classification() *analysis.Classification { return e.class }
+func (e *Engine) PruningEnabled() bool { return e.class != nil }
 
 // StaticPruneFraction is the fraction of the clean run's eligible
 // stream that strikes statically benign sites — the share of the
-// single-fault trial space the engine can skip without simulating.
+// single-fault trial space whose flip the simulator elides. The first
+// call counts it with one clean run under the eligible∧benign mask.
 func (e *Engine) StaticPruneFraction() float64 {
-	if !e.pruneOK || e.Clean.EligibleExec == 0 {
+	if e.class == nil {
 		return 0
 	}
-	return float64(e.benignDyn) / float64(e.Clean.EligibleExec)
-}
-
-// PrunedTrials reports how many trials were answered statically instead
-// of simulated, across all points run so far.
-func (e *Engine) PrunedTrials() uint64 { return e.pruned.Load() }
-
-// streamBenign reports whether eligible-stream ordinal at (1-based)
-// strikes a statically benign site.
-func (e *Engine) streamBenign(at uint64) bool {
-	if at == 0 {
-		return false
-	}
-	w := (at - 1) >> 6
-	if w >= uint64(len(e.benignStream)) {
-		return false
-	}
-	return e.benignStream[w]>>((at-1)&63)&1 == 1
-}
-
-// planBenign reports whether every injection of a plan strikes a
-// statically benign site (vacuously true for fault-free plans), making
-// the whole trial's outcome provably identical to the clean run.
-func (e *Engine) planBenign(plan *sim.FaultPlan) bool {
-	for _, inj := range plan.Injections {
-		if !e.streamBenign(inj.At) {
-			return false
+	e.pruneOnce.Do(func() {
+		mask := make([]bool, len(e.Eligible))
+		for i, el := range e.Eligible {
+			mask[i] = el && e.class.Benign[i]
 		}
-	}
-	return true
+		cfg := e.simCfg
+		cfg.Plan = &sim.FaultPlan{Eligible: mask}
+		e.pruneFrac = float64(sim.Run(e.Prog, cfg).EligibleExec) / float64(e.Clean.EligibleExec)
+	})
+	return e.pruneFrac
 }
+
+// PrunedTrials reports how many trials had every flip elided, so that
+// they stayed on the golden path, across all points run so far.
+func (e *Engine) PrunedTrials() uint64 { return e.pruned.Load() }
 
 // Checkpoints reports how many checkpoints the golden pass captured.
 func (e *Engine) Checkpoints() int { return len(e.rec.Snapshots()) }
@@ -559,33 +520,6 @@ func (e *Engine) runShard(ctx context.Context, seed int64, errors int, lo, hi ui
 		if err != nil {
 			panic(err) // unreachable: New rejects empty eligible streams
 		}
-		if e.pruneOK && e.planBenign(plan) {
-			// Every flip lands in a dead (or discarded) destination, so
-			// the execution is provably the clean run: synthesize the
-			// trial the simulator would have produced. The plan was still
-			// drawn from the RNG stream, so subsequent trials are
-			// unaffected. Bit-identity with a simulated run is pinned by
-			// TestPruningDifferential.
-			tr := Trial{Outcome: sim.OK, Value: math.NaN(), Masked: true,
-				Instret: e.Clean.Instret, Injected: len(plan.Injections), Shard: shard}
-			if e.Score != nil {
-				tr.Value, tr.Acceptable = e.Score(e.Clean.Output, e.Clean.Output)
-			} else {
-				tr.Acceptable = true
-			}
-			e.pruned.Add(1)
-			campTrialsPruned.Inc()
-			countTrial(tr)
-			if span != nil && span.EventRoom() > 0 {
-				span.Event("trial",
-					obstrace.Int("trial", int64(i)),
-					obstrace.String("outcome", tr.Outcome.String()),
-					obstrace.Int("instret", int64(tr.Instret)),
-					obstrace.Bool("pruned", true))
-			}
-			trials = append(trials, tr)
-			continue
-		}
 		res := rn.RunRecover(e.planIdx(plan), plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: maxRec})
 		tr := Trial{Outcome: res.Outcome, Value: math.NaN(), Instret: res.Instret, Injected: res.Injected, Shard: shard,
 			RecoveryAttempts: res.RecoveryAttempts, RecoverInstret: res.RecoverInstret}
@@ -606,19 +540,31 @@ func (e *Engine) runShard(ctx context.Context, seed int64, errors int, lo, hi ui
 				tr.Acceptable = tr.Masked
 			}
 		}
+		// A trial whose every flip was elided never left the golden path:
+		// static pruning answered it, and it converged at its next
+		// checkpoint (at its restore point when it had nothing to inject).
+		pruned := e.class != nil && res.Elided == len(plan.Injections)
+		if pruned {
+			e.pruned.Add(1)
+			campTrialsPruned.Inc()
+		}
 		countTrial(tr)
 		if span != nil && span.EventRoom() > 0 {
 			attrs := []obstrace.Attr{
 				obstrace.Int("trial", int64(i)),
 				obstrace.String("outcome", tr.Outcome.String()),
 				obstrace.Int("instret", int64(tr.Instret)),
-				obstrace.Int("inject_instret", int64(res.FirstInjectInstret)),
 			}
-			if tr.DetectKind != "" {
-				attrs = append(attrs, obstrace.String("transform", tr.DetectKind))
-			}
-			if res.ConvergedAt != 0 {
-				attrs = append(attrs, obstrace.Int("converged_at", int64(res.ConvergedAt)))
+			if pruned {
+				attrs = append(attrs, obstrace.Bool("pruned", true))
+			} else {
+				attrs = append(attrs, obstrace.Int("inject_instret", int64(res.FirstInjectInstret)))
+				if tr.DetectKind != "" {
+					attrs = append(attrs, obstrace.String("transform", tr.DetectKind))
+				}
+				if res.ConvergedAt != 0 {
+					attrs = append(attrs, obstrace.Int("converged_at", int64(res.ConvergedAt)))
+				}
 			}
 			span.Event("trial", attrs...)
 		}

@@ -30,7 +30,7 @@ var (
 	campPoints = obs.Default().Counter("etap_campaign_points_total",
 		"Measurement points (error-count sweeps) started.")
 	campTrialsPruned = obs.Default().Counter("etap_campaign_trials_pruned_total",
-		"Trials statically classified benign and skipped: their outcome was synthesized from the clean run instead of simulated. Pruned trials still count in etap_campaign_trials_total and every aggregate.")
+		"Trials whose every flip struck a statically benign site and was elided, so the trial stayed on the golden path and took its tail from the recording. Pruned trials still count in etap_campaign_trials_total and every aggregate.")
 	campShardSeconds = obs.Default().Histogram("etap_campaign_shard_seconds",
 		"Wall-clock seconds one worker spent executing one shard of trials.",
 		obs.ExpBuckets(0.0005, 4, 12))

@@ -1,15 +1,11 @@
 package core
 
-import (
-	"fmt"
-
-	"etap/internal/isa"
-)
+import "etap/internal/isa"
 
 // This file implements classic reaching definitions and def-use chains —
 // the "technique ... used in contemporary compilers" the paper's Section 3
 // builds on — as an *independent* computation of the def-use structure.
-// CrossValidate uses it to check the CVar analysis: a tagged
+// The package's tests cross-validate the CVar analysis with it: a tagged
 // (low-reliability) definition must never be directly consumed by a
 // control-consuming site. Because the CVar transfer function marks every
 // intermediate definition on a path to control as control-influencing, the
@@ -236,83 +232,4 @@ func defsAt(du *DefUse, idx int) []DefID {
 func (du *DefUse) record(useInstr int, id DefID) {
 	du.UseDefs[useInstr] = append(du.UseDefs[useInstr], id)
 	du.DefUses[id] = append(du.DefUses[id], useInstr)
-}
-
-// CrossValidate checks a Report against independently computed def-use
-// chains: no tagged definition may be directly consumed by a
-// control-consuming site under the report's policy. It returns a
-// description of the first violation, or nil.
-func CrossValidate(p *isa.Program, r *Report) error {
-	dus, err := ReachingDefs(p)
-	if err != nil {
-		return err
-	}
-	entryToFunc := make(map[int]int, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		entryToFunc[f.Start] = fi
-	}
-	for _, du := range dus {
-		for id, useSites := range du.DefUses {
-			def := du.Defs[id]
-			if !r.Tagged[def.Instr] {
-				continue
-			}
-			for _, u := range useSites {
-				if why := controlConsumer(p, r, entryToFunc, u, def.Reg); why != "" {
-					return fmt.Errorf("core: tagged instruction %d (%s) reaches %s at instruction %d (%s)",
-						def.Instr, isa.Disasm(p.Text[def.Instr]), why, u, isa.Disasm(p.Text[u]))
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// controlConsumer reports why instruction u consuming register reg is a
-// control-consuming site under the report's policy ("" if it is not).
-func controlConsumer(p *isa.Program, r *Report, entryToFunc map[int]int, u int, reg isa.Reg) string {
-	in := p.Text[u]
-	switch in.Class() {
-	case isa.ClassControl:
-		if in.Op == isa.JAL {
-			callee, ok := entryToFunc[int(in.Imm)]
-			if ok && r.Summaries[callee].ArgsControl.Has(reg) {
-				return "a control-live callee argument"
-			}
-			return ""
-		}
-		if in.Op == isa.JALR {
-			if reg == in.Rs {
-				return "an indirect call target"
-			}
-			return "a control-live callee argument (unknown callee)"
-		}
-		return "a control transfer"
-	case isa.ClassSys:
-		return "a syscall operand"
-	case isa.ClassArith:
-		if (in.Op == isa.DIV || in.Op == isa.REM) && in.Rt == reg {
-			return "a faultable divisor"
-		}
-		if r.ControlSlice[u] {
-			return "a control-influencing computation"
-		}
-	case isa.ClassLoad:
-		if in.Rs == reg {
-			if r.Policy >= PolicyControlAddr {
-				return "a load address under an address-protecting policy"
-			}
-			if r.ControlSlice[u] {
-				return "the address of a control-bound load"
-			}
-		}
-	case isa.ClassStore:
-		if in.Rs == reg && r.Policy >= PolicyControlAddr {
-			return "a store address under an address-protecting policy"
-		}
-		if in.Rt == reg && r.Policy >= PolicyConservative {
-			return "a stored value under the conservative policy"
-		}
-	}
-	return ""
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"etap/internal/apps/all"
@@ -238,4 +239,83 @@ out:
 	if err := CrossValidate(p, rep); err == nil {
 		t.Fatalf("validator accepted a tag on a branch-feeding instruction")
 	}
+}
+
+// CrossValidate checks a Report against independently computed def-use
+// chains: no tagged definition may be directly consumed by a
+// control-consuming site under the report's policy. It returns a
+// description of the first violation, or nil.
+func CrossValidate(p *isa.Program, r *Report) error {
+	dus, err := ReachingDefs(p)
+	if err != nil {
+		return err
+	}
+	entryToFunc := make(map[int]int, len(p.Funcs))
+	for fi, f := range p.Funcs {
+		entryToFunc[f.Start] = fi
+	}
+	for _, du := range dus {
+		for id, useSites := range du.DefUses {
+			def := du.Defs[id]
+			if !r.Tagged[def.Instr] {
+				continue
+			}
+			for _, u := range useSites {
+				if why := controlConsumer(p, r, entryToFunc, u, def.Reg); why != "" {
+					return fmt.Errorf("core: tagged instruction %d (%s) reaches %s at instruction %d (%s)",
+						def.Instr, isa.Disasm(p.Text[def.Instr]), why, u, isa.Disasm(p.Text[u]))
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// controlConsumer reports why instruction u consuming register reg is a
+// control-consuming site under the report's policy ("" if it is not).
+func controlConsumer(p *isa.Program, r *Report, entryToFunc map[int]int, u int, reg isa.Reg) string {
+	in := p.Text[u]
+	switch in.Class() {
+	case isa.ClassControl:
+		if in.Op == isa.JAL {
+			callee, ok := entryToFunc[int(in.Imm)]
+			if ok && r.Summaries[callee].ArgsControl.Has(reg) {
+				return "a control-live callee argument"
+			}
+			return ""
+		}
+		if in.Op == isa.JALR {
+			if reg == in.Rs {
+				return "an indirect call target"
+			}
+			return "a control-live callee argument (unknown callee)"
+		}
+		return "a control transfer"
+	case isa.ClassSys:
+		return "a syscall operand"
+	case isa.ClassArith:
+		if (in.Op == isa.DIV || in.Op == isa.REM) && in.Rt == reg {
+			return "a faultable divisor"
+		}
+		if r.ControlSlice[u] {
+			return "a control-influencing computation"
+		}
+	case isa.ClassLoad:
+		if in.Rs == reg {
+			if r.Policy >= PolicyControlAddr {
+				return "a load address under an address-protecting policy"
+			}
+			if r.ControlSlice[u] {
+				return "the address of a control-bound load"
+			}
+		}
+	case isa.ClassStore:
+		if in.Rs == reg && r.Policy >= PolicyControlAddr {
+			return "a store address under an address-protecting policy"
+		}
+		if in.Rt == reg && r.Policy >= PolicyConservative {
+			return "a stored value under the conservative policy"
+		}
+	}
+	return ""
 }

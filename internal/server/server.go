@@ -129,13 +129,8 @@ type Config struct {
 	// because profiles expose internals no public deployment should.
 	EnablePprof bool
 	// Logger receives structured logs (job lifecycle with job IDs, HTTP
-	// requests with request IDs). nil falls back to an adapter over
-	// Logf, or to a discard logger when that is nil too.
+	// requests with request IDs). nil discards them.
 	Logger *slog.Logger
-	// Logf, when set (and Logger is not), receives one line per job
-	// state change. Deprecated in favour of Logger; kept so existing
-	// callers keep their logs.
-	Logf func(format string, args ...any)
 }
 
 // DefaultMaxJobs bounds the job table when Config.MaxJobs is zero: old
@@ -166,11 +161,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Metrics = obs.Default()
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = slog.New(logfHandler{logf: c.Logf})
-		} else {
-			c.Logger = slog.New(discardHandler{})
-		}
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c, nil
 }
@@ -236,6 +227,11 @@ type Job struct {
 	// flight-recorded trace. Both are immutable after Submit.
 	requestID string
 	traceID   string
+
+	// accepted is the job as Submit registered it, before any worker
+	// could see it: the submission's 202 answer, which must say queued
+	// however soon a worker picks the job up.
+	accepted Snapshot
 
 	// span covers the job's whole lifetime (child of the submitting
 	// request's span); queuedSpan covers the wait for a worker. Nil when
@@ -619,6 +615,7 @@ func (m *Manager) Submit(ctx context.Context, req *SubmitRequest) (*Job, error) 
 	j.mu.Lock()
 	j.publishState()
 	j.mu.Unlock()
+	j.accepted = j.snapshot()
 
 	m.mu.Lock()
 	if m.closed {
@@ -915,39 +912,26 @@ func (j *Job) persisted() PersistedJob {
 	}
 }
 
-// persistJob saves one job's durable state after a state change.
-// Incremental stores (JobStore) get just that job — O(1) instead of
-// rewriting the whole table, which dominated submit/finish latency once
-// the table held many finished jobs with reports. Plain stores fall
-// back to the full snapshot.
+// persistJob saves one job's durable state after a state change: just
+// that job, not the whole table, which dominated submit/finish latency
+// once the table held many finished jobs with reports.
 func (m *Manager) persistJob(j *Job) {
-	js, ok := m.cfg.Store.(JobStore)
-	if !ok {
-		m.persist()
-		return
-	}
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()
-	if err := js.SaveJob(j.persisted()); err != nil {
+	if err := m.cfg.Store.SaveJob(j.persisted()); err != nil {
 		m.log.Error("persisting job failed", "job", j.ID, "error", err)
 	}
 }
 
-// forgetJobs drops evicted jobs from an incremental store. Plain
-// stores need nothing: their next full snapshot simply omits the
-// evicted jobs.
+// forgetJobs drops evicted jobs from the store.
 func (m *Manager) forgetJobs(ids []string) {
 	if len(ids) == 0 {
-		return
-	}
-	js, ok := m.cfg.Store.(JobStore)
-	if !ok {
 		return
 	}
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()
 	for _, id := range ids {
-		if err := js.DeleteJob(id); err != nil {
+		if err := m.cfg.Store.DeleteJob(id); err != nil {
 			m.log.Error("dropping evicted job from store failed", "job", id, "error", err)
 		}
 	}

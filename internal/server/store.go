@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -30,9 +31,10 @@ type PersistedJob struct {
 }
 
 // Store persists the job table. Load seeds the table on startup so a
-// restarted server still answers for finished jobs; Save writes a full
-// snapshot (shutdown, and the fallback for every state change when the
-// store is not a JobStore).
+// restarted server still answers for finished jobs; SaveJob and DeleteJob
+// persist one job's state change or eviction as it happens — O(1) per
+// transition instead of O(jobs × report size) — and Save writes a full
+// snapshot on shutdown.
 //
 // Implementations must be safe for concurrent use by one manager
 // (Save/SaveJob/DeleteJob calls are serialized by the manager, Load
@@ -40,21 +42,13 @@ type PersistedJob struct {
 type Store interface {
 	Load() ([]PersistedJob, error)
 	Save([]PersistedJob) error
-}
-
-// JobStore is an optional Store extension for incremental persistence:
-// a manager whose store implements it saves only the changed job on
-// each state change (and deletes evicted ones) instead of rewriting
-// the whole table — O(1) per transition instead of O(jobs × report
-// size).
-type JobStore interface {
 	SaveJob(PersistedJob) error
 	DeleteJob(id string) error
 }
 
-// MemStore is a Store that remembers the last snapshot in memory — the
-// default when no state file is configured, and the restart-simulation
-// vehicle for tests.
+// MemStore is a Store that keeps the job table in memory — the default
+// when no state file is configured, and the restart-simulation vehicle
+// for tests.
 type MemStore struct {
 	jobs []PersistedJob
 }
@@ -62,12 +56,30 @@ type MemStore struct {
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
-// Load returns the last saved snapshot.
+// Load returns the current table.
 func (m *MemStore) Load() ([]PersistedJob, error) { return m.jobs, nil }
 
-// Save replaces the snapshot.
+// Save replaces the table.
 func (m *MemStore) Save(jobs []PersistedJob) error {
 	m.jobs = append([]PersistedJob(nil), jobs...)
+	return nil
+}
+
+// SaveJob inserts or replaces one job, keeping first-save order.
+func (m *MemStore) SaveJob(j PersistedJob) error {
+	for i := range m.jobs {
+		if m.jobs[i].ID == j.ID {
+			m.jobs[i] = j
+			return nil
+		}
+	}
+	m.jobs = append(m.jobs, j)
+	return nil
+}
+
+// DeleteJob drops one job; an unknown ID is not an error.
+func (m *MemStore) DeleteJob(id string) error {
+	m.jobs = slices.DeleteFunc(m.jobs, func(j PersistedJob) bool { return j.ID == id })
 	return nil
 }
 

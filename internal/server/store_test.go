@@ -51,6 +51,42 @@ func TestFileStoreJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemStoreMatchesFileStore: the in-memory store answers Load after
+// per-job saves and deletes exactly as a reloaded FileStore does.
+func TestMemStoreMatchesFileStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	f, m := NewFileStore(path), NewMemStore()
+	for _, st := range []Store{f, m} {
+		for _, j := range []PersistedJob{storedJob("a", StateQueued, 0), storedJob("b", StateQueued, 0), storedJob("c", StateRunning, 1)} {
+			if err := st.SaveJob(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.SaveJob(storedJob("a", StateDone, 7)); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"b", "nosuch"} {
+			if err := st.DeleteJob(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.SaveJob(storedJob("d", StateQueued, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := NewFileStore(path).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("MemStore table %+v, FileStore reload %+v", got, want)
+	}
+}
+
 // TestFileStoreCompaction: once compactThreshold records accumulate,
 // the journal folds into an atomic snapshot and resets; nothing is
 // lost across the fold or a subsequent reload.

@@ -8,7 +8,10 @@
 // a match the Result is synthesized from the recorded golden Result. A
 // trial whose first injection comes before the first checkpoint restores
 // the root, the machine before its first instruction, so it converges
-// like any other instead of running to its end.
+// like any other instead of running to its end. A trial whose every flip
+// was elided (RecordOptions.Benign) never left the golden path, so it
+// converges at the next checkpoint; one with nothing to inject takes the
+// golden tail at its restore checkpoint without simulating.
 //
 // The segmentation only moves the engine's budget: runEngine stops
 // cleanly on a budget anywhere, including between the two halves of a
@@ -40,24 +43,29 @@ func samePage(a, b *[pageSize]byte) bool {
 	return *a == *b
 }
 
+// tailFits reports whether a trial under budget may take the golden tail:
+// only when the golden run ended on its own within that budget. Otherwise
+// the trial's tail would time out where the golden one did not, and the
+// recording holds no state to synthesize that.
+func (r *Recording) tailFits(budget uint64) bool {
+	return r.Result.Outcome != Timeout && r.Result.Instret <= budget
+}
+
 // runConverging runs the Runner's machine, restored from checkpoint idx
 // (-1: the root), to the end of the trial. It stops at every later
-// checkpoint's Instret and returns the index of the first checkpoint whose
-// golden state the machine matches with no injection pending, or -1 when
-// the trial ran to its own end.
-//
-// Convergence is only tried when the golden run ended on its own within
-// the trial's budget: otherwise the trial's tail would time out where the
-// golden one did not, and the recording holds no state to synthesize that.
-func (rn *Runner) runConverging(idx int, code []dinstr) int {
+// checkpoint's Instret and returns the first checkpoint whose golden state
+// the machine matches with no injection pending, or nil when the trial ran
+// to its own end or stopped to be run again with every flip applied
+// (m.reapply).
+func (rn *Runner) runConverging(idx int, code []dinstr) *Snapshot {
 	m := &rn.m
 	r := rn.rec
 	budget := m.cfg.MaxInstr
-	j := len(r.snaps)
-	if r.Result.Outcome != Timeout && r.Result.Instret <= budget {
-		j = idx + 1
+	if !r.tailFits(budget) {
+		m.runEngine(code)
+		return nil
 	}
-	for ; ; j++ {
+	for j := idx + 1; ; j++ {
 		stop := budget
 		if j < len(r.snaps) && r.snaps[j].Instret < budget {
 			stop = r.snaps[j].Instret
@@ -66,11 +74,11 @@ func (rn *Runner) runConverging(idx int, code []dinstr) int {
 		m.runEngine(code)
 		// A segment that ended on the checkpoint's Instret left Timeout
 		// in m.outcome; every later exit path overwrites it.
-		if m.done || stop == budget {
-			return -1
+		if m.done || m.reapply || stop == budget {
+			return nil
 		}
 		if m.injected == len(m.injections) && rn.converged(idx, j) {
-			return j
+			return r.snaps[j]
 		}
 	}
 }
@@ -136,21 +144,21 @@ func (rn *Runner) converged(i, j int) bool {
 	return true
 }
 
-// goldenTail builds the Result of a trial that converged at checkpoint j.
+// goldenTail builds the Result of a trial that converged at checkpoint sj.
 // Everything the tail decides — how the run ends and what it wrote — is
 // the golden Result's; the counters are the trial's own at the checkpoint
 // plus what the golden pass accumulated after it; the injection fields
 // describe the trial.
-func (rn *Runner) goldenTail(j int) Result {
+func (rn *Runner) goldenTail(sj *Snapshot) Result {
 	m := &rn.m
 	g := &rn.rec.Result
-	sj := rn.rec.snaps[j]
 	res := *g
 	res.EligibleExec = m.eligCount + (g.EligibleExec - sj.EligCount)
 	for c := range res.ClassCounts {
 		res.ClassCounts[c] = m.classCounts[c] + (g.ClassCounts[c] - sj.classCounts[c])
 	}
 	res.Injected = m.injected
+	res.Elided = m.elided
 	res.FirstInjectInstret = m.firstInjInstret
 	res.Output = g.Output[:len(g.Output):len(g.Output)]
 	res.ConvergedAt = sj.Instret

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"etap/internal/analysis"
 	"etap/internal/asm"
 	"etap/internal/isa"
 	"etap/internal/obs"
@@ -711,4 +712,104 @@ func TestRecoverReplayFromRoot(t *testing.T) {
 	if res.Instret != rec.Result.Instret || res.RecoverInstret != rec.Result.Instret {
 		t.Fatalf("instret %d, replay work %d: want the logical %d for both", res.Instret, res.RecoverInstret, rec.Result.Instret)
 	}
+}
+
+// deadForeverProgram writes $t5 once between two loops and never reads it;
+// it is rewritten only after the last checkpoint, just before the exit
+// (where liveness takes every register as live). A flip there is dead, yet
+// the trial's registers differ from the golden pass's at every later
+// checkpoint unless the flip is elided.
+const deadForeverProgram = `
+.text
+.func __start
+	li $t0, 0
+	li $t1, 0
+warm:
+	add $t1, $t1, $t0
+	addi $t0, $t0, 1
+	slti $at, $t0, 100
+	bnez $at, warm
+	addi $t5, $t0, 9
+	li $t0, 0
+loop:
+	add $t1, $t1, $t0
+	addi $t0, $t0, 1
+	slti $at, $t0, 300
+	bnez $at, loop
+	addi $sp, $sp, -4
+	sw $t1, 0($sp)
+	move $a0, $sp
+	li $a1, 4
+	li $v0, 4
+	syscall
+	li $t5, 0
+	li $a0, 0
+	li $v0, 1
+	syscall
+.endfunc
+`
+
+// TestElideDeadFlipConverges: under a recording with the Classify benign
+// mask, a flip into a dead register is elided, so the trial converges at
+// its next checkpoint with Elided == Injected and otherwise equals the
+// from-scratch run, which applies the flip. Without the mask the same
+// trial never converges. A flip that must land after an elided one makes
+// the trial run again with every flip applied.
+func TestElideDeadFlipConverges(t *testing.T) {
+	p, err := asm.Assemble(deadForeverProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, sum := -1, -1
+	for i, in := range p.Text {
+		switch {
+		case in.Op == isa.ADDI && in.Imm == 9:
+			dead = i
+		case in.Op == isa.ADD && dead >= 0 && sum < 0:
+			sum = i // the second loop's add, which feeds the output
+		}
+	}
+	cls, err := analysis.Classify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dead < 0 || sum < 0 || !cls.Benign[dead] || cls.Benign[sum] {
+		t.Fatalf("fixture: dead=%d sum=%d benign %v", dead, sum, cls.Benign)
+	}
+	mask := make([]bool, len(p.Text))
+	mask[dead], mask[sum] = true, true
+	cfg := sim.Config{Plan: &sim.FaultPlan{Eligible: mask}}
+	folded, err := sim.Record(p, cfg, sim.RecordOptions{Interval: 64, Benign: cls.Benign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := recordConv(t, p, mask, sim.Config{}, 64)
+
+	// The dead addi is eligible-stream ordinal 1, executed after several
+	// checkpoints.
+	plan := &sim.FaultPlan{Eligible: mask, Injections: []sim.Injection{{At: 1, Bit: 3}}}
+	idx := folded.SnapshotBefore(1)
+	if idx < 0 || idx+1 >= len(folded.Snapshots()) {
+		t.Fatalf("fixture: restore index %d of %d checkpoints", idx, len(folded.Snapshots()))
+	}
+	want := scratchOracle(p, sim.Config{}, plan, 0)
+	if at := matchScratch(t, "unfolded", plain.RunFrom(idx, plan, 0), want); at != 0 {
+		t.Fatalf("a dead flip that is never rewritten converged at %d without the benign mask", at)
+	}
+	got := folded.RunFrom(idx, plan, 0)
+	if got.Elided != 1 || got.Injected != 1 {
+		t.Fatalf("elided %d of %d injected flips, want 1 of 1", got.Elided, got.Injected)
+	}
+	got.Elided = 0
+	if at, next := matchScratch(t, "folded", got, want), folded.Snapshots()[idx+1].Instret; at != next {
+		t.Fatalf("folded trial converged at %d, want the next checkpoint %d", at, next)
+	}
+
+	// A second flip on the live sum after the elided one.
+	plan = &sim.FaultPlan{Eligible: mask, Injections: []sim.Injection{{At: 1, Bit: 3}, {At: 40, Bit: 2}}}
+	got = folded.RunFrom(idx, plan, 0)
+	if got.Elided != 0 || got.Injected != 2 {
+		t.Fatalf("elided %d of %d flips after a live one followed, want 0 of 2", got.Elided, got.Injected)
+	}
+	matchScratch(t, "elided then live", got, scratchOracle(p, sim.Config{}, plan, 0))
 }

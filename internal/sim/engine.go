@@ -1,15 +1,19 @@
-// The predecoded execution engine: the dispatch half of predecode.go.
-// runEngine retires dinstr slots instead of raw isa.Instr, so the per-step
-// cost drops to one bounds check, one budget check, and one switch on a
-// dense byte — class resolution, destination extraction and eligibility
-// all happened at compile time. The loop carries no SiteVisit hook, recorder, or
-// plan triple-check; instrumented runs use the reference interpreter
-// (machine.run) instead, and the two are pinned bit-identical by
-// engine_test.go, engine_diff_test.go and FuzzEngineEquivalence.
+// The predecoded execution engine: the dispatch half of predecode.go and
+// the only instruction loop in production. runEngine retires dinstr slots
+// instead of raw isa.Instr, so the per-step cost drops to one bounds
+// check, one budget check, and one switch on a dense byte — class
+// resolution, destination extraction, eligibility and benignity all
+// happened at compile time. Every execution runs here: from-scratch runs
+// (Run), golden passes (Record segments the run at each checkpoint's
+// Instret) and restored trials (RunFrom, which segments it at each later
+// checkpoint to test convergence). The loop carries no hooks; it is
+// pinned bit-identical to the reference interpreter kept in the package's
+// tests by engine_test.go, engine_apps_test.go and FuzzEngineEquivalence.
 //
-// Invariants a machine entering runEngine must satisfy: m.rec == nil and
-// cfg.SiteVisit == nil (instrumented paths are reference-only), and a
-// flat (non-paged) machine has a dirty bitmap (it came from newScratch).
+// Invariant a machine entering runEngine must satisfy: a flat (non-paged)
+// machine has a dirty bitmap (it came from newScratch). Only a
+// recording's own stream has eligBenign slots, so only trials restored
+// from a recording under its mask ever elide a flip.
 package sim
 
 import (
@@ -314,12 +318,27 @@ func (m *machine) runEngine(code []dinstr) {
 
 		// Post-retire fault accounting, mirroring the reference loop's
 		// mask check with the eligibility bit folded into the slot.
-		if d.elig {
+		if d.elig != 0 {
 			eligCount++
 			if eligCount == nextAt {
-				bit := injections[injected].Bit & 31
-				if d.dst != noDest {
-					r[d.dst] ^= 1 << bit
+				switch {
+				case d.elig == eligBenign && m.elide:
+					// Still on the golden path, where the slot's
+					// destination is dead: the flip cannot change the
+					// run, so it is elided and the trial stays golden.
+					m.elided++
+				case m.elided != 0:
+					// A flip that must land after an elided one takes
+					// the trial off the golden path, where the elided
+					// flips might have mattered: stop, so that the
+					// caller runs the trial again applying every flip.
+					m.reapply = true
+					return
+				default:
+					m.elide = false
+					if d.dst != noDest {
+						r[d.dst] ^= 1 << (injections[injected].Bit & 31)
+					}
 				}
 				if injected == 0 {
 					m.firstInjInstret = instret

@@ -172,6 +172,42 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 	if idx >= 0 {
 		s, kind = r.snaps[idx], simRunsRestore
 	}
+	m := &rn.m
+	if plan != nil && idx >= 0 && len(plan.Injections) == 0 && r.tailFits(cfg.MaxInstr) {
+		// Nothing to inject: from its checkpoint on the trial is the
+		// golden run, so it takes the golden tail there without even
+		// restoring the machine.
+		*m = machine{eligCount: s.EligCount, classCounts: s.classCounts}
+		return rn.goldenTail(s)
+	}
+	var golden *Snapshot
+	for elide := true; ; elide = false {
+		rn.restore(s, cfg, plan)
+		m.elide = elide
+		start := time.Now()
+		if plan != nil {
+			golden = rn.runConverging(idx, code)
+		} else {
+			m.runEngine(code)
+		}
+		rn.written = m.written
+		// The machine resumed at s.Instret; only the instructions actually
+		// re-executed count toward the process totals.
+		recordRunMetrics(kind, m.instret-s.Instret, time.Since(start))
+		if !m.reapply {
+			break
+		}
+	}
+	if golden == nil {
+		return m.result()
+	}
+	return rn.goldenTail(golden)
+}
+
+// restore resets the Runner's machine to snapshot s under cfg and plan,
+// sharing the snapshot's pages copy-on-write.
+func (rn *Runner) restore(s *Snapshot, cfg Config, plan *FaultPlan) {
+	r := rn.rec
 	fastPages := int(cfg.MemSize >> pageShift)
 	if rn.rb == nil {
 		rn.rb = acquireRestore(fastPages)
@@ -184,7 +220,6 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 
 	m := &rn.m
 	*m = machine{
-		text:        r.prog.Text,
 		memSize:     cfg.MemSize,
 		paged:       true,
 		pageTab:     rb.pageTab,
@@ -213,21 +248,6 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		m.eligible = plan.Eligible
 		m.injections = plan.Injections
 	}
-	start := time.Now()
-	j := -1
-	if plan != nil {
-		j = rn.runConverging(idx, code)
-	} else {
-		m.runEngine(code)
-	}
-	rn.written = m.written
-	// The machine resumed at s.Instret; only the instructions actually
-	// re-executed count toward the process totals.
-	recordRunMetrics(kind, m.instret-s.Instret, time.Since(start))
-	if j < 0 {
-		return m.result()
-	}
-	return rn.goldenTail(j)
 }
 
 // codeForPlan picks the predecoded stream for a trial against a recording:

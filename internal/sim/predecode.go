@@ -14,6 +14,12 @@
 // first slot is not eligible for injection and writes a real register —
 // the two conditions under which executing the pair as one step is
 // observationally identical to two reference steps (see docs/PERF.md).
+//
+// A recording's own stream also folds in static pruning: an eligible slot
+// whose destination is provably dead (analysis.Classify's Benign mask,
+// passed as RecordOptions.Benign) is compiled as eligBenign, and the
+// engine elides a flip striking it while the trial is still on the golden
+// path (engine.go).
 package sim
 
 import (
@@ -34,7 +40,7 @@ type dinstr struct {
 	rd2  uint8 // fused: destination slot of the second op (sink-redirected)
 	dst  uint8 // injection target of the retiring op; noDest when none
 	cls  uint8 // isa.Class of the first op
-	elig bool  // retiring slot's FaultPlan eligibility, folded at compile time
+	elig uint8 // retiring slot's eligibility (eligPlain, eligBenign or 0), folded at compile time
 	imm  int32
 	imm2 int32 // fused: second immediate, memory offset, or branch target
 }
@@ -48,6 +54,13 @@ const (
 	kSltBne                             // slt rd,rs,rt + bne rd,$zero,imm2
 	kSltuBeq                            // sltu variant of kSltBeq
 	kSltuBne                            // sltu variant of kSltBne
+)
+
+// Values of dinstr.elig for eligible slots: eligBenign marks a slot whose
+// flip is statically benign and may be elided (see compile).
+const (
+	eligPlain  = 1
+	eligBenign = 2
 )
 
 // noDest marks a slot whose retiring op writes no injectable register.
@@ -67,9 +80,20 @@ func rdx(r isa.Reg) uint8 {
 
 // compile predecodes text under an eligibility mask (nil or short masks
 // leave the uncovered tail ineligible, matching the interpreter's bounds
-// check). The result is immutable and safe to share across machines.
-func compile(text []isa.Instr, mask []bool) []dinstr {
+// check). Eligible slots that benign marks (nil or short, like mask) are
+// compiled as eligBenign. The result is immutable and safe to share
+// across machines.
+func compile(text []isa.Instr, mask, benign []bool) []dinstr {
 	elig := func(i int) bool { return i < len(mask) && mask[i] }
+	eligAt := func(i int) uint8 {
+		switch {
+		case !elig(i):
+			return 0
+		case i < len(benign) && benign[i]:
+			return eligBenign
+		}
+		return eligPlain
+	}
 	code := make([]dinstr, len(text))
 	for i := range text {
 		in := &text[i]
@@ -87,7 +111,7 @@ func compile(text []isa.Instr, mask []bool) []dinstr {
 		if in.Op == isa.JAL {
 			d.rd = uint8(isa.RegRA)
 		}
-		d.elig = elig(i)
+		d.elig = eligAt(i)
 	}
 	// Fusion pass. A pair (A at i, B at i+1) fuses only when A's slot is
 	// not eligible (the fused step does one post-retire check, B's) and A
@@ -133,7 +157,7 @@ func compile(text []isa.Instr, mask []bool) []dinstr {
 		default:
 			continue
 		}
-		d.elig = elig(i + 1)
+		d.elig = code[i+1].elig
 		d.dst = code[i+1].dst
 	}
 	return code
@@ -181,12 +205,12 @@ func codeFor(p *isa.Program, plan *FaultPlan) []dinstr {
 	}
 	if len(mask) == 0 {
 		if pc.plain == nil {
-			pc.plain = compile(p.Text, nil)
+			pc.plain = compile(p.Text, nil, nil)
 		}
 		return pc.plain
 	}
 	if pc.maskPtr != &mask[0] || pc.maskLen != len(mask) {
-		pc.masked = compile(p.Text, mask)
+		pc.masked = compile(p.Text, mask, nil)
 		pc.maskPtr = &mask[0]
 		pc.maskLen = len(mask)
 	}

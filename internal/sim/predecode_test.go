@@ -26,7 +26,7 @@ func TestCompileFusion(t *testing.T) {
 		{Op: isa.SLT, Rd: 16, Rs: 10, Rt: 11},          // 12: B compares a third reg, no fusion
 		{Op: isa.BNE, Rs: 17, Rt: isa.RegZero, Imm: 0}, // 13
 	}
-	code := compile(text, nil)
+	code := compile(text, nil, nil)
 	wantKinds := map[int]uint8{
 		0: kLuiOri, 2: kAddiLw, 4: kAddiSw, 6: kSltBne, 8: kSltuBeq,
 		10: uint8(isa.LUI), 12: uint8(isa.SLT),
@@ -51,7 +51,7 @@ func TestCompileFusion(t *testing.T) {
 	// injection scheduled between the two halves.
 	mask := make([]bool, len(text))
 	mask[0] = true
-	masked := compile(text, mask)
+	masked := compile(text, mask, nil)
 	if masked[0].kind != uint8(isa.LUI) {
 		t.Errorf("eligible A slot still fused: kind %d", masked[0].kind)
 	}
@@ -61,8 +61,8 @@ func TestCompileFusion(t *testing.T) {
 	// A fused pair retires with the B half's eligibility and injection dest.
 	bmask := make([]bool, len(text))
 	bmask[1] = true
-	bm := compile(text, bmask)
-	if bm[0].kind != kLuiOri || !bm[0].elig {
+	bm := compile(text, bmask, nil)
+	if bm[0].kind != kLuiOri || bm[0].elig != eligPlain {
 		t.Errorf("fused pair did not take B's eligibility: kind %d elig %v", bm[0].kind, bm[0].elig)
 	}
 	if bm[0].dst != 9 {
@@ -77,7 +77,7 @@ func TestEngineProgramsContainFusions(t *testing.T) {
 	seen := map[uint8]bool{}
 	for _, tc := range enginePrograms {
 		p := mustAssemble(t, tc.src)
-		for _, d := range compile(p.Text, nil) {
+		for _, d := range compile(p.Text, nil, nil) {
 			if d.kind >= uint8(isa.NumOps) {
 				seen[d.kind] = true
 			}

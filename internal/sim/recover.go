@@ -49,8 +49,9 @@ func (p RecoveryPolicy) Enabled() bool { return p.MaxAttempts > 0 }
 //   - Crash/Timeout: a replay crashed or the shared budget ran out.
 //
 // The returned Result accumulates across attempts: Injected counts every
-// flip that fired in any attempt, FirstInjectInstret is from the earliest
-// fired flip, and RecoveryAttempts/RecoverInstret account the replay work.
+// flip that fired in any attempt and Elided every one of those elided,
+// FirstInjectInstret is from the earliest fired flip, and
+// RecoveryAttempts/RecoverInstret account the replay work.
 func (rn *Runner) RunRecover(idx int, plan *FaultPlan, maxInstr uint64, pol RecoveryPolicy) Result {
 	res := rn.RunFrom(idx, plan, maxInstr)
 	if !pol.Enabled() || res.Outcome != Detected || plan == nil {
@@ -64,7 +65,7 @@ func (rn *Runner) RunRecover(idx int, plan *FaultPlan, maxInstr uint64, pol Reco
 	// spent charges only instructions actually executed — the restored
 	// prefix a checkpoint skipped was never run, so it never counts.
 	spent := res.Instret - snapInstret(r, idx)
-	fired := res.Injected
+	fired, elided := res.Injected, res.Elided
 	first := res.FirstInjectInstret
 	attempts := 0
 	var replayed uint64
@@ -87,8 +88,9 @@ func (rn *Runner) RunRecover(idx int, plan *FaultPlan, maxInstr uint64, pol Reco
 			first = res.FirstInjectInstret
 		}
 		fired += res.Injected
+		elided += res.Elided
 	}
-	res.Injected = fired
+	res.Injected, res.Elided = fired, elided
 	res.FirstInjectInstret = first
 	res.RecoveryAttempts = attempts
 	res.RecoverInstret = replayed

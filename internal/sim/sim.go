@@ -163,13 +163,6 @@ type Config struct {
 	Input []byte
 	// Plan optionally enables fault accounting and injection.
 	Plan *FaultPlan
-	// SiteVisit, when non-nil, receives the text index of every retired
-	// eligible instruction in dynamic (eligible-stream) order: the n-th
-	// call corresponds to eligible-stream ordinal n. It is an
-	// instrumented path and forces the reference interpreter; the
-	// campaign engine sets it on the golden pass only, to map stream
-	// ordinals back to static fault sites.
-	SiteVisit func(pc int)
 }
 
 // Result is the outcome of a run.
@@ -185,6 +178,12 @@ type Result struct {
 	// Injected is how many scheduled flips actually fired (a run can crash
 	// before reaching later injection points).
 	Injected int
+	// Elided is how many of the Injected flips struck a slot the
+	// recording marked benign (RecordOptions.Benign) while the trial was
+	// still on the golden path, and were therefore not applied: the flip
+	// provably could not change the run. Only restored runs elide; Run
+	// and the reference interpreter apply every flip and report 0.
+	Elided int
 	// FirstInjectInstret is the value of Instret at the moment the first
 	// scheduled flip fired (the flipped instruction had just retired), and
 	// 0 when no flip fired.
@@ -213,8 +212,9 @@ type Result struct {
 	// ConvergedAt is the Instret of the checkpoint at which a restored run
 	// was found back in the golden pass's exact state, after which the
 	// rest of the Result was taken from the recorded golden tail instead
-	// of being simulated; 0 when the run did not converge. It is the only
-	// field that differs from a from-scratch run of the same plan.
+	// of being simulated; 0 when the run did not converge. With Elided it
+	// is the only field that differs from a from-scratch run of the same
+	// plan.
 	ConvergedAt uint64
 }
 
@@ -232,9 +232,8 @@ func (r Result) DetectLatency() (lat uint64, ok bool) {
 const pageShift = 12
 const pageSize = 1 << pageShift
 
-// normalize fills Config defaults. Run, ReferenceRun, Record and Runner
-// trials all go through it, so the defaulting cannot drift between entry
-// points.
+// normalize fills Config defaults. Run, Record and Runner trials all go
+// through it, so the defaulting cannot drift between entry points.
 func (c Config) normalize() Config {
 	if c.MemSize == 0 {
 		c.MemSize = 8 << 20
@@ -256,40 +255,15 @@ func (c Config) normalize() Config {
 // Execution happens on the predecoded engine (predecode.go, engine.go):
 // the text segment is compiled once per (program, eligibility mask) pair
 // into a dense superinstruction stream and the hot loop dispatches over
-// that. SiteVisit runs fall back to the reference interpreter. The two paths
-// produce bit-identical Results — TestEngineMatchesReference and
-// FuzzEngineEquivalence enforce it.
+// that. The engine is pinned bit-identical to the reference interpreter
+// kept in the package's tests (TestEngineMatchesReference,
+// FuzzEngineEquivalence).
 func Run(p *isa.Program, cfg Config) Result {
 	cfg = cfg.normalize()
-	if cfg.SiteVisit != nil {
-		return referenceRun(p, cfg)
-	}
 	code := codeFor(p, cfg.Plan)
 	m, buf := newScratch(p, cfg)
 	start := time.Now()
 	m.runEngine(code)
-	recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
-	res := m.result()
-	buf.release()
-	return res
-}
-
-// ReferenceRun executes the program on the reference decode-dispatch
-// interpreter: the per-step switch over isa opcodes that predates the
-// predecoded engine. It stays in-tree as the semantic baseline — the
-// differential harness asserts bit-identical Results between both engines
-// for every app, hardened variant and injection plan — and it carries the
-// instrumented paths (SiteVisit, checkpoint recording) the fast loop does
-// not implement.
-func ReferenceRun(p *isa.Program, cfg Config) Result {
-	return referenceRun(p, cfg.normalize())
-}
-
-// referenceRun expects a normalized cfg.
-func referenceRun(p *isa.Program, cfg Config) Result {
-	m, buf := newScratch(p, cfg)
-	start := time.Now()
-	m.run()
 	recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
 	res := m.result()
 	buf.release()
@@ -302,7 +276,6 @@ func referenceRun(p *isa.Program, cfg Config) Result {
 func newScratch(p *isa.Program, cfg Config) (*machine, *scratchBuf) {
 	buf := acquireScratch(cfg.MemSize)
 	m := &machine{
-		text:    p.Text,
 		mem:     buf.mem,
 		dirty:   buf.dirty,
 		memSize: cfg.MemSize,
@@ -331,6 +304,7 @@ func (m *machine) result() Result {
 		Instret:            m.instret,
 		EligibleExec:       m.eligCount,
 		Injected:           m.injected,
+		Elided:             m.elided,
 		FirstInjectInstret: m.firstInjInstret,
 		DetectInstret:      m.detectInstret(),
 		DetectPC:           m.detectPC(),
@@ -357,7 +331,6 @@ func (m *machine) detectInstret() uint64 {
 }
 
 type machine struct {
-	text []isa.Instr
 	// regs is the register file, oversized on purpose. Index isa.NumRegs is
 	// a write sink: the predecoded engine redirects $zero destinations
 	// there, so its writeback is a straight store with no "is this $zero"
@@ -392,10 +365,6 @@ type machine struct {
 	// a private copy in wrTab, so a convergence check visits only those.
 	written []uint32
 
-	// rec, when non-nil, records snapshots of machine state every
-	// rec.interval instructions (see snapshot.go).
-	rec *recorder
-
 	input []byte
 	inPos int
 	out   []byte
@@ -406,6 +375,15 @@ type machine struct {
 	injected        int
 	firstInjInstret uint64
 	eligCount       uint64
+
+	// Flip elision (see engine.go): elide is set while a restored trial
+	// is still on the golden path, so a flip striking a benign slot may be
+	// elided; elided counts those flips; reapply is raised when a flip
+	// must land after an elided one, and the trial is then run again with
+	// every flip applied.
+	elide   bool
+	elided  int
+	reapply bool
 
 	instret     uint64
 	classCounts [6]uint64
@@ -482,9 +460,6 @@ func (m *machine) store(addr, size, val uint32) bool {
 		if m.dirty != nil {
 			m.dirty[pn>>6] |= 1 << (pn & 63)
 		}
-		if m.rec != nil {
-			m.rec.dirtyFast(pn)
-		}
 	} else {
 		pn := addr >> pageShift
 		pg, ok := m.pages[pn]
@@ -498,9 +473,6 @@ func (m *machine) store(addr, size, val uint32) bool {
 			}
 			pg = new([pageSize]byte)
 			m.pages[pn] = pg
-		}
-		if m.rec != nil {
-			m.rec.dirtySparse(pn)
 		}
 		buf = pg[addr&(pageSize-1):]
 	}
@@ -626,214 +598,6 @@ func srem(a, b int32) int32 {
 
 // codeIdx converts an architectural code address to a text index.
 func codeIdx(addr uint32) int { return int(int64(addr) - int64(isa.TextBase)) }
-
-func (m *machine) run() {
-	for !m.done {
-		if m.pc < 0 || m.pc >= len(m.text) {
-			m.fault(TrapBadPC, uint32(m.pc))
-			return
-		}
-		if m.instret >= m.cfg.MaxInstr {
-			m.outcome = Timeout
-			return
-		}
-		if m.rec != nil && m.instret == m.rec.next {
-			m.rec.capture(m)
-		}
-		in := m.text[m.pc]
-		m.instret++
-		m.classCounts[in.Class()]++
-		next := m.pc + 1
-		r := &m.regs
-
-		switch in.Op {
-		case isa.NOP:
-		case isa.ADD:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])+int32(r[in.Rt])))
-		case isa.SUB:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])-int32(r[in.Rt])))
-		case isa.MUL:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])*int32(r[in.Rt])))
-		case isa.DIV:
-			if r[in.Rt] == 0 {
-				m.fault(TrapDivZero, 0)
-				return
-			}
-			m.setReg(in.Rd, uint32(sdiv(int32(r[in.Rs]), int32(r[in.Rt]))))
-		case isa.REM:
-			if r[in.Rt] == 0 {
-				m.fault(TrapDivZero, 0)
-				return
-			}
-			m.setReg(in.Rd, uint32(srem(int32(r[in.Rs]), int32(r[in.Rt]))))
-		case isa.AND:
-			m.setReg(in.Rd, r[in.Rs]&r[in.Rt])
-		case isa.OR:
-			m.setReg(in.Rd, r[in.Rs]|r[in.Rt])
-		case isa.XOR:
-			m.setReg(in.Rd, r[in.Rs]^r[in.Rt])
-		case isa.NOR:
-			m.setReg(in.Rd, ^(r[in.Rs] | r[in.Rt]))
-		case isa.SLLV:
-			m.setReg(in.Rd, r[in.Rs]<<(r[in.Rt]&31))
-		case isa.SRLV:
-			m.setReg(in.Rd, r[in.Rs]>>(r[in.Rt]&31))
-		case isa.SRAV:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])>>(r[in.Rt]&31)))
-		case isa.SLT:
-			m.setReg(in.Rd, b2u(int32(r[in.Rs]) < int32(r[in.Rt])))
-		case isa.SLTU:
-			m.setReg(in.Rd, b2u(r[in.Rs] < r[in.Rt]))
-
-		case isa.ADDI:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])+in.Imm))
-		case isa.ANDI:
-			m.setReg(in.Rd, r[in.Rs]&uint32(in.Imm))
-		case isa.ORI:
-			m.setReg(in.Rd, r[in.Rs]|uint32(in.Imm))
-		case isa.XORI:
-			m.setReg(in.Rd, r[in.Rs]^uint32(in.Imm))
-		case isa.SLL:
-			m.setReg(in.Rd, r[in.Rs]<<(uint32(in.Imm)&31))
-		case isa.SRL:
-			m.setReg(in.Rd, r[in.Rs]>>(uint32(in.Imm)&31))
-		case isa.SRA:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])>>(uint32(in.Imm)&31)))
-		case isa.SLTI:
-			m.setReg(in.Rd, b2u(int32(r[in.Rs]) < in.Imm))
-		case isa.LUI:
-			m.setReg(in.Rd, uint32(in.Imm)<<16)
-
-		case isa.ADDF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])+f32(r[in.Rt])))
-		case isa.SUBF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])-f32(r[in.Rt])))
-		case isa.MULF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])*f32(r[in.Rt])))
-		case isa.DIVF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])/f32(r[in.Rt])))
-		case isa.CVTIF:
-			m.setReg(in.Rd, bits(float32(int32(r[in.Rs]))))
-		case isa.CVTFI:
-			m.setReg(in.Rd, uint32(f2i(f32(r[in.Rs]))))
-		case isa.CEQF:
-			m.setReg(in.Rd, b2u(f32(r[in.Rs]) == f32(r[in.Rt])))
-		case isa.CLTF:
-			m.setReg(in.Rd, b2u(f32(r[in.Rs]) < f32(r[in.Rt])))
-		case isa.CLEF:
-			m.setReg(in.Rd, b2u(f32(r[in.Rs]) <= f32(r[in.Rt])))
-
-		case isa.LW:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 4)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, v)
-		case isa.LH:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 2)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, uint32(int32(int16(v))))
-		case isa.LHU:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 2)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, v)
-		case isa.LB:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 1)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, uint32(int32(int8(v))))
-		case isa.LBU:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 1)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, v)
-		case isa.SW:
-			if !m.store(uint32(int32(r[in.Rs])+in.Imm), 4, r[in.Rt]) {
-				return
-			}
-		case isa.SH:
-			if !m.store(uint32(int32(r[in.Rs])+in.Imm), 2, r[in.Rt]) {
-				return
-			}
-		case isa.SB:
-			if !m.store(uint32(int32(r[in.Rs])+in.Imm), 1, r[in.Rt]) {
-				return
-			}
-
-		case isa.BEQ:
-			if r[in.Rs] == r[in.Rt] {
-				next = int(in.Imm)
-			}
-		case isa.BNE:
-			if r[in.Rs] != r[in.Rt] {
-				next = int(in.Imm)
-			}
-		case isa.BLEZ:
-			if int32(r[in.Rs]) <= 0 {
-				next = int(in.Imm)
-			}
-		case isa.BGTZ:
-			if int32(r[in.Rs]) > 0 {
-				next = int(in.Imm)
-			}
-		case isa.BLTZ:
-			if int32(r[in.Rs]) < 0 {
-				next = int(in.Imm)
-			}
-		case isa.BGEZ:
-			if int32(r[in.Rs]) >= 0 {
-				next = int(in.Imm)
-			}
-		case isa.J:
-			next = int(in.Imm)
-		case isa.JAL:
-			m.setReg(isa.RegRA, isa.TextBase+uint32(m.pc+1))
-			next = int(in.Imm)
-		case isa.JR:
-			next = codeIdx(r[in.Rs])
-		case isa.JALR:
-			m.setReg(in.Rd, isa.TextBase+uint32(m.pc+1))
-			next = codeIdx(r[in.Rs])
-
-		case isa.SYSCALL:
-			if !m.syscall() {
-				return
-			}
-
-		case isa.TRAPDET:
-			m.outcome = Detected
-			m.done = true
-			return
-		}
-
-		// Fault accounting and injection happen after writeback so the
-		// flipped bit lands in the committed result.
-		if m.eligible != nil && m.pc < len(m.eligible) && m.eligible[m.pc] {
-			m.eligCount++
-			if m.cfg.SiteVisit != nil {
-				m.cfg.SiteVisit(m.pc)
-			}
-			if m.injected < len(m.injections) && m.eligCount == m.injections[m.injected].At {
-				bit := m.injections[m.injected].Bit & 31
-				if d, ok := in.Dest(); ok && d != isa.RegZero {
-					m.regs[d] ^= 1 << bit
-				}
-				if m.injected == 0 {
-					m.firstInjInstret = m.instret
-				}
-				m.injected++
-			}
-		}
-
-		m.pc = next
-	}
-}
 
 // maxSyscallLen bounds a single read/write syscall; a corrupted length
 // register asking for more is treated as the host refusing the allocation.

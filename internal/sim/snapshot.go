@@ -67,6 +67,14 @@ type RecordOptions struct {
 	// geometrically spaced checkpoint set. Defaults to 128; negative
 	// disables the bound.
 	MaxSnapshots int
+	// Benign, when non-nil, marks the text indices where a flip provably
+	// cannot change the run (analysis.Classify's Benign mask). A trial
+	// restored under the recorded mask elides a flip that strikes such a
+	// slot while the trial is still on the golden path, and counts it in
+	// Result.Elided, so a trial whose every flip is benign stays golden and
+	// converges at its next checkpoint. Run and trials under any other
+	// mask apply every flip.
+	Benign []bool
 }
 
 func (o RecordOptions) withDefaults() RecordOptions {
@@ -87,13 +95,13 @@ type Recording struct {
 	Result Result
 
 	prog   *isa.Program
-	cfg    Config // defaults applied; Plan/SiteVisit stripped
+	cfg    Config // defaults applied; Plan stripped
 	snaps  []*Snapshot
 	root   *Snapshot         // the machine before its first instruction; not in snaps
 	base   []*[pageSize]byte // initial fast-region image (data segment)
 	elig   []bool            // eligibility mask the golden pass counted with
 	maskFP uint64            // fingerprint of elig; restores reject other masks
-	code   []dinstr          // predecoded stream with elig folded in
+	code   []dinstr          // predecoded stream with elig and the benign slots folded in
 }
 
 // maskFingerprint hashes an eligibility mask (FNV-1a over length and
@@ -123,32 +131,26 @@ func maskFingerprint(elig []bool) uint64 {
 // plan's mask does not match it.
 func (r *Recording) MaskFingerprint() uint64 { return r.maskFP }
 
-// recorder holds the capture state threaded through the machine during a
-// golden pass.
+// recorder holds the capture state of a golden pass.
 type recorder struct {
 	interval uint64
 	next     uint64
 	maxSnaps int
 
-	fastDirty   []uint64 // bitmap over fast-region page numbers
-	sparseDirty map[uint32]struct{}
-	cum         map[uint32]*[pageSize]byte // all pages dirtied since run start
-	snaps       []*Snapshot
+	written []uint64                   // every fast page the pass dirtied, for the pool's reset
+	cum     map[uint32]*[pageSize]byte // every page written so far, at its latest image
+	snaps   []*Snapshot
 }
 
-func (r *recorder) dirtyFast(pn uint32) {
-	r.fastDirty[pn>>6] |= 1 << (pn & 63)
-}
-
-func (r *recorder) dirtySparse(pn uint32) {
-	r.sparseDirty[pn] = struct{}{}
-}
-
-// capture folds pages dirtied since the previous checkpoint into the
-// cumulative page map and snapshots the machine state between
-// instructions.
+// capture folds the pages written since the previous checkpoint into the
+// cumulative page map and snapshots the machine between two instructions.
+// The fast pages written since then are those marked in the machine's
+// dirty bitmap, which capture clears; a sparse page is copied when it is
+// new or its contents changed.
 func (r *recorder) capture(m *machine) {
-	for w, word := range r.fastDirty {
+	for w, word := range m.dirty {
+		r.written[w] |= word
+		m.dirty[w] = 0
 		for word != 0 {
 			b := word & -word
 			word ^= b
@@ -157,13 +159,13 @@ func (r *recorder) capture(m *machine) {
 			copy(pg[:], m.mem[pn<<pageShift:])
 			r.cum[pn] = pg
 		}
-		r.fastDirty[w] = 0
 	}
-	for pn := range r.sparseDirty {
-		pg := new([pageSize]byte)
-		*pg = *m.pages[pn]
-		r.cum[pn] = pg
-		delete(r.sparseDirty, pn)
+	for pn, pg := range m.pages {
+		if old, ok := r.cum[pn]; !ok || *old != *pg {
+			cp := new([pageSize]byte)
+			*cp = *pg
+			r.cum[pn] = cp
+		}
 	}
 	pages := make(map[uint32]*[pageSize]byte, len(r.cum))
 	for pn, pg := range r.cum {
@@ -198,6 +200,13 @@ func (r *recorder) capture(m *machine) {
 // eligible-stream position) but no injections — the golden pass must be
 // fault-free. cfg.MemSize must be page-aligned so the fast/sparse boundary
 // coincides with a page boundary.
+//
+// The golden pass runs on the engine in segments, the way restored trials
+// test convergence: each segment's budget ends at the next checkpoint's
+// Instret, the machine is captured there, and the run continues. runEngine
+// stops cleanly on a budget anywhere, including between the two halves of
+// a fused pair, so the segmented run retires exactly what one
+// uninterrupted run would.
 func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 	opt = opt.withDefaults()
 	cfg = cfg.normalize()
@@ -207,31 +216,43 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 	if cfg.Plan != nil && len(cfg.Plan.Injections) > 0 {
 		return nil, fmt.Errorf("sim: cannot record a golden pass with injections scheduled")
 	}
-
-	fastPages := cfg.MemSize >> pageShift
-	rec := &recorder{
-		interval:    opt.Interval,
-		next:        opt.Interval,
-		maxSnaps:    opt.MaxSnapshots,
-		fastDirty:   make([]uint64, (fastPages+63)/64),
-		sparseDirty: make(map[uint32]struct{}),
-		cum:         make(map[uint32]*[pageSize]byte),
-	}
-	// The golden pass runs on the reference interpreter: it is the engine
-	// that carries the recorder hook, and recording is rare enough that
-	// raw speed does not matter.
-	m, buf := newScratch(p, cfg)
-	m.rec = rec
 	var elig []bool
 	if cfg.Plan != nil {
 		elig = cfg.Plan.Eligible
 	}
+	code := compile(p.Text, elig, opt.Benign)
+
+	fastPages := cfg.MemSize >> pageShift
+	m, buf := newScratch(p, cfg)
+	rec := &recorder{
+		interval: opt.Interval,
+		next:     opt.Interval,
+		maxSnaps: opt.MaxSnapshots,
+		written:  slices.Clone(m.dirty), // the data segment copied in at setup
+		cum:      make(map[uint32]*[pageSize]byte),
+	}
+	// Checkpoints hold only the pages the program wrote; the data segment
+	// image lives in base below.
+	clear(m.dirty)
 	start := time.Now()
-	m.run()
+	for {
+		stop := min(rec.next, cfg.MaxInstr)
+		m.cfg.MaxInstr = stop
+		m.runEngine(code)
+		if m.done || stop == cfg.MaxInstr {
+			break
+		}
+		rec.capture(m)
+	}
 	recordRunMetrics(simRunsRecord, m.instret, time.Since(start))
 	simCheckpoints.Add(float64(len(rec.snaps)))
 
 	res := m.result()
+	// Hand every page the pass wrote back to the bitmap, so the pool
+	// resets all of them.
+	for w, word := range rec.written {
+		m.dirty[w] |= word
+	}
 	buf.release()
 	for k, s := range rec.snaps {
 		// An empty prefix stays nil, as a from-scratch run's output does
@@ -277,7 +298,6 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 
 	strip := cfg
 	strip.Plan = nil
-	strip.SiteVisit = nil
 	return &Recording{
 		Result: res,
 		prog:   p,
@@ -287,7 +307,7 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 		base:   base,
 		elig:   elig,
 		maskFP: maskFingerprint(elig),
-		code:   compile(p.Text, elig),
+		code:   code,
 	}, nil
 }
 

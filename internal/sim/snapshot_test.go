@@ -115,6 +115,13 @@ func TestResumeCleanReproducesGolden(t *testing.T) {
 		t.Fatalf("clean resume differs from golden run:\ngolden:  %+v\nresumed: %+v",
 			headline(rec.Result), headline(res))
 	}
+	// A plan-less replay counts no eligible executions but otherwise
+	// runs the golden tail.
+	res = rec.RunFrom(last, nil, 0)
+	if res.Outcome != rec.Result.Outcome || res.Instret != rec.Result.Instret || !bytes.Equal(res.Output, rec.Result.Output) {
+		t.Fatalf("plan-less resume differs from golden run:\ngolden:  %+v\nresumed: %+v",
+			headline(rec.Result), headline(res))
+	}
 }
 
 func TestResumedTrialsAreIsolated(t *testing.T) {
